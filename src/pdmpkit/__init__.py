@@ -14,12 +14,9 @@ from .flows import (
     boundary_hit_time,
     cumulative_hazard,
     flow_evolve,
-    hazard_integral,
-    q_transform,
     sample_jump_time,
 )
 from .mcstats import (
-    FitReport,
     Histogram,
     dkw_epsilon,
     empirical_density,
@@ -33,8 +30,10 @@ from .models import (
     AlleeParams,
     BirthSwitchParams,
     GeneExpressionParams,
+    GrowthDivision,
     PopulationResult,
     SteinParams,
+    SwitchingFields,
     TwoPhaseCellCycleParams,
     make_allee,
     make_birth_switch,
@@ -46,6 +45,7 @@ from .models import (
     make_telegraph,
     make_two_phase_cell_cycle,
     simulate_population,
+    telegraph_fields,
 )
 from .process import (
     BoundaryHit,
@@ -73,6 +73,7 @@ from .stationary import (
     hormander_check,
     intensity_positivity_check,
     stationary_density,
+    switching_system,
 )
 from .transport import (
     CellCycleSolver,
@@ -83,10 +84,7 @@ from .transport import (
     TwoPhaseDensity,
     TwoPhaseSolver,
     density_from,
-    evolve_cell_cycle,
     evolve_liouville,
-    evolve_switching,
-    evolve_two_phase,
     steady_state,
     two_phase_density,
 )

@@ -9,7 +9,6 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,28 +17,24 @@ import numpy as np
 
 from . import experiments
 from .config import (
-    birth_switch_params,
     build_model,
-    gene_params,
     load_config,
+    model_view,
     population_spec,
     validate_config,
 )
+from .csvout import F17, write_csv
 from .errors import ConfigError, InvalidParam, PdmpError
-from .models import simulate_population
+from .models import SwitchingFields, simulate_population
 from .process import (
     path_rng,
     simulate_ensemble,
     simulate_trajectory,
     snapshots_to_csv,
     trajectories_to_csv,
+    trajectory_snapshots_to_csv,
 )
-from .stationary import (
-    birth_switch_system,
-    classify,
-    gene_switching_system,
-    stationary_density,
-)
+from .stationary import classify, stationary_density, switching_system
 from .transport import (
     CellCycleSolver,
     Grid1D,
@@ -51,8 +46,6 @@ from .transport import (
     two_phase_density,
 )
 
-_F17 = "{:.17g}".format
-
 
 def _write_json(obj, path: Path) -> None:
     with open(path, "w") as fh:
@@ -60,16 +53,7 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def _switching_system(cfg: dict):
-    name = cfg["model"]["name"]
-    if name == "gene_expression":
-        return gene_switching_system(gene_params(cfg["model"]))
-    if name == "birth_switch":
-        return birth_switch_system(birth_switch_params(cfg["model"]))
-    raise ConfigError(f"no switching-system view for model {name!r}", key="model.name")
-
-
-def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> list:
+def cmd_simulate(cfg: dict, out: Path, seed: int) -> list:
     model = build_model(cfg["model"])
     section = cfg["simulate"]
     x0 = np.atleast_1d(np.asarray(section["x0"], dtype=float))
@@ -92,20 +76,12 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> list:
         artifacts.append(str(traj_path))
         if snaps:
             snap_path = out / "snapshots.csv"
-            with open(snap_path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["path_id", "t_snap", "regime"]
-                           + [f"s{k}" for k in range(model.dim)])
-                for t in sorted(snaps):
-                    for pid, traj in enumerate(trajectories):
-                        state, reg = traj.state_at(t)
-                        w.writerow([pid, _F17(t), reg] + [_F17(v) for v in state])
+            trajectory_snapshots_to_csv(trajectories, snaps, snap_path)
             artifacts.append(str(snap_path))
         n_jumps = sum(len(t.jumps) for t in trajectories)
     else:
         ens = simulate_ensemble(model, lambda rng: (x0, regime0), horizon, n_paths,
-                                seed, snapshot_times=snaps, threads=threads,
-                                jump_budget=budget)
+                                seed, snapshot_times=snaps, jump_budget=budget)
         if ens.errors:
             raise InvalidParam(f"ensemble paths failed: {ens.errors[:3]}")
         snap_path = out / "snapshots.csv"
@@ -122,7 +98,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> list:
 
 
 def cmd_stationary(cfg: dict, out: Path) -> list:
-    sys1 = _switching_system(cfg)
+    sys1 = switching_system(model_view(cfg["model"]))
     report = classify(sys1)
     dens = stationary_density(sys1)
     artifacts = []
@@ -130,12 +106,9 @@ def cmd_stationary(cfg: dict, out: Path) -> list:
         n = int(cfg.get("stationary", {}).get("grid_n", 256))
         grid = Grid1D(0.0, sys1.a, n)
         path = out / "fstar.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell_center", "regime", "density"])
-            for r, f in enumerate((dens.f0, dens.f1)):
-                for x in grid.centers:
-                    w.writerow([_F17(x), r, _F17(f(x))])
+        write_csv(path, ["cell_center", "regime", "density"],
+                  ([F17(x), r, F17(f(x))] for r, f in enumerate((dens.f0, dens.f1))
+                   for x in grid.centers))
         artifacts.append(str(path))
     path = out / "report.json"
     _write_json(report.to_dict(), path)
@@ -144,7 +117,7 @@ def cmd_stationary(cfg: dict, out: Path) -> list:
 
 
 def cmd_classify(cfg: dict, out: Path) -> list:
-    report = classify(_switching_system(cfg))
+    report = classify(switching_system(model_view(cfg["model"])))
     path = out / "report.json"
     _write_json(report.to_dict(), path)
     return [str(path)]
@@ -167,63 +140,28 @@ def _initial_density(grid: Grid1D, n_regimes: int, f0_cfg: dict):
 
 
 def cmd_evolve(cfg: dict, out: Path) -> list:
-    model = cfg["model"]
-    name = model["name"]
     section = cfg["evolve"]
     gcfg = section["grid"]
     dt = float(section["dt"])
     t_end = float(section["t_end"])
+    f0 = section.get("f0")
+    view = model_view(cfg["model"])
 
-    if name in ("gene_expression", "birth_switch", "allee", "telegraph"):
-        grid = Grid1D(float(gcfg.get("x_min", 0.0)), float(gcfg["x_max"]),
-                      int(gcfg["n"]))
-        if name == "gene_expression":
-            p = gene_params(model)
-            g0, g1 = (lambda x: -p.mu * x), (lambda x: p.P - p.mu * x)
-            from .models import _scalar_fn
-            q0, q1 = _scalar_fn(p.q0, "q0"), _scalar_fn(p.q1, "q1")
-        elif name == "birth_switch":
-            p = birth_switch_params(model)
-            from .models import _scalar_fn, birth_switch_rhs
-            g0, g1 = birth_switch_rhs(p, 0), birth_switch_rhs(p, 1)
-            q0, q1 = _scalar_fn(p.q0, "q0"), _scalar_fn(p.q1, "q1")
-        elif name == "allee":
-            from .config import _num
-            from .exprs import rate_from_config
-            from .models import AlleeParams, _scalar_fn, allee_rhs
-            p = AlleeParams(lam=_num(model, "lam"), K=_num(model, "K"),
-                            A=_num(model, "A"), B=_num(model, "B"),
-                            q01=rate_from_config(model["q01"], "q01"),
-                            q10=rate_from_config(model["q10"], "q10"))
-            g0, g1 = allee_rhs(p, 0), allee_rhs(p, 1)
-            q0, q1 = _scalar_fn(p.q01, "q01"), _scalar_fn(p.q10, "q10")
-        else:
-            lam, c = float(model["lam"]), float(model["c"])
-            g0, g1 = (lambda x: -c), (lambda x: c)
-            q0 = q1 = lambda x: lam
-        solver = SwitchingSolver(grid, g0, g1, q0, q1, dt)
-        density = density_from(grid, _initial_density(grid, 2, section.get("f0")))
-    elif name == "cell_cycle_1p":
-        grid = Grid1D(0.0, float(gcfg["x_max"]), int(gcfg["n"]), dyadic_aligned=True)
-        from .exprs import rate_from_config
-        from .models import _scalar_fn
-        g = _scalar_fn(rate_from_config(model["g"], "g"), "g")
-        phi = _scalar_fn(rate_from_config(model["phi"], "phi"), "phi")
-        solver = CellCycleSolver(grid, g, phi, dt)
-        density = density_from(grid, _initial_density(grid, 1, section.get("f0")))
-    elif name == "cell_cycle_2p":
-        grid = Grid1D(0.0, float(gcfg["x_max"]), int(gcfg["n"]), dyadic_aligned=True)
-        from .exprs import rate_from_config
-        from .models import _scalar_fn
-        g = _scalar_fn(rate_from_config(model["g"], "g"), "g")
-        phi = _scalar_fn(rate_from_config(model["phi"], "phi"), "phi")
-        t_B = float(model["t_B"])
-        n_y = int(section.get("n_y", 32))
-        solver = TwoPhaseSolver(grid, n_y, t_B, g, phi, dt)
-        f_a0 = _initial_density(grid, 1, section.get("f0"))[0]
-        density = two_phase_density(grid, n_y, t_B, f_a0)
+    # one solver per kind of view: switching transport, division, two phases
+    if isinstance(view, SwitchingFields):
+        grid = Grid1D(float(gcfg.get("x_min", 0.0)), float(gcfg["x_max"]), int(gcfg["n"]))
+        solver = SwitchingSolver(grid, view.g0, view.g1, view.q0, view.q1, dt)
+        density = density_from(grid, _initial_density(grid, 2, f0))
     else:
-        raise ConfigError(f"model {name!r} has no grid solver", key="model.name")
+        grid = Grid1D(0.0, float(gcfg["x_max"]), int(gcfg["n"]), dyadic_aligned=True)
+        (f_a0,) = _initial_density(grid, 1, f0)
+        if view.t_B is None:
+            solver = CellCycleSolver(grid, view.g, view.phi, dt)
+            density = density_from(grid, [f_a0])
+        else:
+            n_y = int(section.get("n_y", 32))
+            solver = TwoPhaseSolver(grid, n_y, view.t_B, view.g, view.phi, dt)
+            density = two_phase_density(grid, n_y, view.t_B, f_a0)
 
     converged = None
     if "steady" in section:
@@ -238,7 +176,7 @@ def cmd_evolve(cfg: dict, out: Path) -> list:
     density_to_csv(density, path)
     summary = {
         "schema_version": 1,
-        "model": name,
+        "model": cfg["model"]["name"],
         "t_final": density.time,
         "mass": density.mass(),
         "outflow": density.outflow,
@@ -273,18 +211,12 @@ def cmd_population(cfg: dict, out: Path, seed: int) -> list:
         float(section["horizon"]), path_rng(seed, 0),
         snapshot_times=snaps, max_cells=spec["max_cells"])
     events_path = out / "events.csv"
-    with open(events_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "kind", "parent_size", "n_after"])
-        for ev in result.events:
-            w.writerow([_F17(ev.t), ev.kind, _F17(ev.parent_size), ev.n_after])
+    write_csv(events_path, ["t", "kind", "parent_size", "n_after"],
+              ([F17(ev.t), ev.kind, F17(ev.parent_size), ev.n_after] for ev in result.events))
     snap_path = out / "population_snapshots.csv"
-    with open(snap_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_snap", "cell_index", "size"])
-        for t, sizes in zip(result.snapshot_times, result.snapshots):
-            for i, x in enumerate(sizes):
-                w.writerow([_F17(t), i, _F17(x)])
+    write_csv(snap_path, ["t_snap", "cell_index", "size"],
+              ([F17(t), i, F17(x)] for t, sizes in zip(result.snapshot_times, result.snapshots)
+               for i, x in enumerate(sizes)))
     summary = {
         "schema_version": 1,
         "n_events": len(result.events),
@@ -298,7 +230,7 @@ def cmd_population(cfg: dict, out: Path, seed: int) -> list:
     return [str(events_path), str(snap_path), str(spath)]
 
 
-def run(command: str, cfg: dict, out_dir, seed=None, threads: int = 1) -> dict:
+def run(command: str, cfg: dict, out_dir, seed=None) -> dict:
     """Dispatch one validated command; returns the status record."""
     cfg = dict(cfg)
     cfg["command"] = command
@@ -307,7 +239,7 @@ def run(command: str, cfg: dict, out_dir, seed=None, threads: int = 1) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if command == "simulate":
-        artifacts = cmd_simulate(cfg, out, seed, threads)
+        artifacts = cmd_simulate(cfg, out, seed)
     elif command == "stationary":
         artifacts = cmd_stationary(cfg, out)
     elif command == "classify":
@@ -338,8 +270,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (64-bit integer)")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ensemble paths")
     args = parser.parse_args(argv)
 
     try:
@@ -353,7 +283,7 @@ def main(argv=None) -> int:
                 f"CLI command {args.command!r} conflicts with config "
                 f"command {cfg['command']!r}", key="command")
         out_dir = args.out or cfg.get("output_dir", "out")
-        status = run(command, cfg, out_dir, seed=args.seed, threads=args.threads)
+        status = run(command, cfg, out_dir, seed=args.seed)
         print(json.dumps(status, sort_keys=True))
         return 0
     except ConfigError as exc:

@@ -7,7 +7,7 @@ constraints are checked (by constructing it) before anything runs.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Union
 
 import yaml
 
@@ -17,7 +17,9 @@ from .models import (
     AlleeParams,
     BirthSwitchParams,
     GeneExpressionParams,
+    GrowthDivision,
     SteinParams,
+    SwitchingFields,
     TwoPhaseCellCycleParams,
     make_allee,
     make_birth_switch,
@@ -28,6 +30,7 @@ from .models import (
     make_stein,
     make_telegraph,
     make_two_phase_cell_cycle,
+    telegraph_fields,
 )
 from .process import PdmpModel
 
@@ -226,10 +229,7 @@ def build_model(model: dict) -> PdmpModel:
             lambda_I=_num(model, "lambda_I"), theta=_num(model, "theta"),
             t_R=_num(model, "t_R")))
     if name == "allee":
-        return make_allee(AlleeParams(
-            lam=_num(model, "lam"), K=_num(model, "K"), A=_num(model, "A"),
-            B=_num(model, "B"), q01=rate_from_config(model["q01"], "q01"),
-            q10=rate_from_config(model["q10"], "q10")))
+        return make_allee(allee_params(model))
     if name == "birth_switch":
         return make_birth_switch(birth_switch_params(model))
     raise ConfigError(f"model {name!r} cannot be simulated directly", key="model.name")
@@ -247,6 +247,38 @@ def birth_switch_params(model: dict) -> BirthSwitchParams:
         b0=_num(model, "b0"), b1=_num(model, "b1"), c=_num(model, "c"),
         mu=_num(model, "mu"), q0=rate_from_config(model["q0"], "q0"),
         q1=rate_from_config(model["q1"], "q1"))
+
+
+def allee_params(model: dict) -> AlleeParams:
+    return AlleeParams(
+        lam=_num(model, "lam"), K=_num(model, "K"), A=_num(model, "A"),
+        B=_num(model, "B"), q01=rate_from_config(model["q01"], "q01"),
+        q10=rate_from_config(model["q10"], "q10"))
+
+
+def _growth_division(model: dict) -> GrowthDivision:
+    return GrowthDivision(g=rate_from_config(model["g"], "g"),
+                          phi=rate_from_config(model["phi"], "phi"),
+                          t_B=_num(model, "t_B") if "t_B" in model else None)
+
+
+# model name -> its 1-D view, built without constructing the event model
+_VIEWS = {
+    "gene_expression": lambda m: gene_params(m).fields(),
+    "birth_switch": lambda m: birth_switch_params(m).fields(),
+    "allee": lambda m: allee_params(m).fields(),
+    "telegraph": lambda m: telegraph_fields(_num(m, "lam"), _num(m, "c")),
+    "cell_cycle_1p": _growth_division,
+    "cell_cycle_2p": _growth_division,
+}
+
+
+def model_view(model: dict) -> Union[SwitchingFields, GrowthDivision]:
+    """The switching or growth-division view of a catalog model (validates params)."""
+    view = _VIEWS.get(model["name"])
+    if view is None:
+        raise ConfigError(f"model {model['name']!r} has no 1-D view", key="model.name")
+    return view(model)
 
 
 def population_spec(model: dict) -> dict:

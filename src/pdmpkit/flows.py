@@ -203,17 +203,6 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float],
     return CumulativeHazard(ts=ts, values=values)
 
 
-def hazard_integral(flow: Flow, hz: Hazard, x0, t: float,
-                    rtol: float = TOL_FLOW, atol: float = ATOL_FLOW) -> float:
-    """int_0^t rate(x(s)) ds for the flow started at x0."""
-    if t < 0:
-        raise InvalidParam("hazard_integral needs t >= 0")
-    if t == 0.0:
-        return 0.0
-    cum = cumulative_hazard(flow, hz, x0, [t], rtol=rtol, atol=atol)
-    return float(cum.values[-1])
-
-
 # ---------------------------------------------------------------------------
 # jump-time sampling
 # ---------------------------------------------------------------------------
@@ -560,7 +549,3 @@ class QTransform:
         inv_fn = PchipInterpolator(vals[keep], xs[keep], extrapolate=False)
         return q_fn, inv_fn
 
-
-def q_transform(g: Callable[[float], float], phi: Callable[[float], float], x: float) -> float:
-    """Q(x) = int_0^x phi(r)/g(r) dr by adaptive quadrature."""
-    return QTransform(g, phi)(x)

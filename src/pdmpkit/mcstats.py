@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .csvout import F17, write_csv
 from .errors import EmptySample, GridMismatch, InvalidParam
 from .flows import flow_evolve
 from .process import PdmpModel, iter_events
@@ -128,49 +128,6 @@ def dkw_epsilon(n: int, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class FitReport:
-    """Distances plus pass flags against configured thresholds."""
-
-    n_samples: int
-    l1: Optional[float] = None
-    ks: Optional[float] = None
-    thresholds: dict = field(default_factory=dict)
-    out_of_range: int = 0
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.l1 is not None and not -1e-12 <= self.l1 <= 2.0 + 1e-9:
-            raise InvalidParam("l1 distance must lie in [0, 2]")
-        if self.ks is not None and not -1e-12 <= self.ks <= 1.0 + 1e-12:
-            raise InvalidParam("ks statistic must lie in [0, 1]")
-
-    @property
-    def passes(self) -> dict:
-        flags = {}
-        for name, bound in self.thresholds.items():
-            value = {"l1": self.l1, "ks": self.ks, **self.extras}.get(name)
-            flags[name] = bool(value is not None and value < bound)
-        return flags
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.passes.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "n_samples": self.n_samples,
-            "l1_distance": self.l1,
-            "ks_statistic": self.ks,
-            "out_of_range": self.out_of_range,
-            "thresholds": dict(self.thresholds),
-            "passes": self.passes,
-            "all_pass": self.all_pass,
-            "extras": dict(self.extras),
-        }
-
-
-@dataclass(frozen=True)
 class SweepingReport:
     """Mass near the extinction boundary over time, per regime and total."""
 
@@ -264,9 +221,7 @@ def occupation_samples(model: PdmpModel, x0, regime0: int, horizon: float,
 
 def histogram_to_csv(hist: Histogram, path) -> None:
     """Histogram export: rows (cell_center, regime, density)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell_center", "regime", "density"])
-        for r in range(hist.n_regimes):
-            for x, v in zip(hist.grid.centers, hist.density[r]):
-                w.writerow([f"{x:.17g}", r, f"{v:.17g}"])
+    centers = hist.grid.centers
+    write_csv(path, ["cell_center", "regime", "density"],
+              ([F17(x), r, F17(v)] for r, vals in enumerate(hist.density)
+               for x, v in zip(centers, vals)))

@@ -43,7 +43,7 @@ def _require(cond: bool, constraint: str) -> None:
         raise InvalidParam(f"parameter constraint violated: {constraint}")
 
 
-def _scalar_fn(spec: RateLike, name: str) -> Callable[[float], float]:
+def _scalar_fn(spec: RateLike) -> Callable[[float], float]:
     if callable(spec):
         return spec
     value = float(spec)
@@ -91,6 +91,67 @@ def _vector_rate_along(g_closed_form, phi_fn) -> Optional[Callable]:
     return rate_along
 
 
+@dataclass(frozen=True)
+class SwitchingFields:
+    """The one description of a two-regime model on the line.
+
+    Fields g0/g1 drive regimes 0/1, dg0/dg1 are their derivatives where the
+    catalog knows them, and q0 (0 -> 1) and q1 (1 -> 0) are the switching
+    intensities, all as scalar callables.  ``a`` is the right end of the
+    invariant interval (0, a) when the model has one.  The event model, the
+    grid solver and the stationary analysis all read this record.
+    """
+
+    g0: Callable[[float], float]
+    g1: Callable[[float], float]
+    q0: Callable[[float], float]
+    q1: Callable[[float], float]
+    dg0: Optional[Callable[[float], float]] = None
+    dg1: Optional[Callable[[float], float]] = None
+    a: Optional[float] = None
+
+    def flow(self, regime: int, closed_form=None) -> Flow:
+        """The 1-D flow of one regime, with its Jacobian when dg is known."""
+        g, dg = (self.g0, self.dg0) if regime == 0 else (self.g1, self.dg1)
+        jac = None if dg is None else (lambda x: np.array([[dg(float(x[0]))]]))
+        return Flow(dim=1, rhs=lambda x: np.array([g(float(x[0]))]),
+                    closed_form=closed_form, jacobian=jac)
+
+
+@dataclass(frozen=True)
+class GrowthDivision:
+    """Grid-solver view of a cell-cycle model: growth law g, division (one
+    phase) or phase-B entry (two phases) intensity phi, both made scalar
+    callables, and the phase-B duration t_B of the two-phase model."""
+
+    g: RateLike
+    phi: RateLike
+    t_B: Optional[float] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", _scalar_fn(self.g))
+        object.__setattr__(self, "phi", _scalar_fn(self.phi))
+
+
+def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params: dict,
+                     closed_forms=(None, None), bound_grid: Optional[Array] = None
+                     ) -> PdmpModel:
+    """Event model of a switching view; the raw rate specs keep constants on
+    the constant-rate fast path."""
+    def to1(x, regime, rng):
+        return x.copy(), 1
+
+    def to0(x, regime, rng):
+        return x.copy(), 0
+
+    regimes = tuple(
+        Regime(i, fields.flow(i, closed_forms[i]),
+               hazards=(HazardChannel(_state_hazard(q, bound_grid=bound_grid),
+                                      JumpKernel(kernel), label),))
+        for i, (q, kernel, label) in enumerate(zip(q_specs, (to1, to0), labels)))
+    return PdmpModel(name, regimes, params)
+
+
 def _tail_integral_diverges(fn: Callable[[float], float], x_bar: float,
                             n_octaves: int = 18) -> bool:
     """Heuristic divergence test for int_{x_bar}^inf fn on doubling octaves.
@@ -133,10 +194,18 @@ def make_grasshopper(lam: float, jump_sampler: Callable[[np.random.Generator], f
     return PdmpModel("grasshopper", (regime,), {"lam": lam, "dim": dim})
 
 
-def make_telegraph(lam: float, c: float) -> PdmpModel:
-    """Velocity-jump motion on the line: speed ``c``, direction reversals at rate ``lam``."""
+def telegraph_fields(lam: float, c: float) -> SwitchingFields:
+    """The telegraph process seen on the line: regime 0 moves at -c, regime 1
+    at +c, and each reverses at rate ``lam``."""
     _require(lam > 0, "lam > 0")
     _require(c > 0, "c > 0")
+    return SwitchingFields(g0=lambda x: -c, g1=lambda x: c,
+                           q0=lambda x: lam, q1=lambda x: lam)
+
+
+def make_telegraph(lam: float, c: float) -> PdmpModel:
+    """Velocity-jump motion on the line: speed ``c``, direction reversals at rate ``lam``."""
+    telegraph_fields(lam, c)    # validates lam and c
     flow = Flow(dim=2,
                 rhs=lambda s: np.array([s[1], 0.0]),
                 closed_form=lambda t, s: np.array([s[0] + s[1] * t, s[1]]),
@@ -174,8 +243,8 @@ def _validate_growth_division(g, phi, x_bar: float = 1.0) -> None:
 def make_cell_cycle_one_phase(g: RateLike, phi: RateLike,
                               g_closed_form=None) -> PdmpModel:
     """Size growth x' = g(x); division at intensity phi(x) into a size-x/2 daughter."""
-    g_fn = _scalar_fn(g, "g")
-    phi_fn = _scalar_fn(phi, "phi")
+    g_fn = _scalar_fn(g)
+    phi_fn = _scalar_fn(phi)
     _validate_growth_division(g_fn, phi_fn)
     closed = None
     rate_along = None
@@ -196,7 +265,7 @@ def make_cell_cycle_one_phase(g: RateLike, phi: RateLike,
 def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     """Deterministic cycle: grow from size m, split back to m on reaching 2m."""
     _require(m > 0, "m > 0")
-    g_fn = _scalar_fn(g, "g")
+    g_fn = _scalar_fn(g)
     _check_positive_on(g_fn, np.linspace(m, 2.0 * m, 33), "g > 0 on [m, 2m]")
     closed = None
     if g_closed_form is not None:
@@ -223,13 +292,13 @@ class TwoPhaseCellCycleParams:
 
     def __post_init__(self):
         _require(self.t_B > 0, "t_B > 0")
-        _validate_growth_division(_scalar_fn(self.g, "g"), _scalar_fn(self.phi, "phi"))
+        _validate_growth_division(_scalar_fn(self.g), _scalar_fn(self.phi))
 
 
 def make_two_phase_cell_cycle(p: TwoPhaseCellCycleParams) -> PdmpModel:
     """State (x, y): resting phase A grows until phi fires, then a fixed t_B in
     phase B before division halves x.  y tracks time since phase-B entry."""
-    g_fn = _scalar_fn(p.g, "g")
+    g_fn = _scalar_fn(p.g)
     closed_a = closed_b = rate_along = None
     if p.g_closed_form is not None:
         gc = p.g_closed_form
@@ -275,43 +344,31 @@ class GeneExpressionParams:
     def __post_init__(self):
         _require(self.P > 0, "P > 0")
         _require(self.mu > 0, "mu > 0")
-        grid = np.linspace(0.0, self.P / self.mu, 257)
+        grid = np.linspace(0.0, self.x_max, 257)
         for name, q in (("q0", self.q0), ("q1", self.q1)):
-            fn = _scalar_fn(q, name)
-            _check_positive_on(fn, grid, f"{name} > 0 on [0, P/mu]")
+            _check_positive_on(_scalar_fn(q), grid, f"{name} > 0 on [0, P/mu]")
 
     @property
     def x_max(self) -> float:
         return self.P / self.mu
 
+    def fields(self) -> SwitchingFields:
+        """Off: x' = -mu x; on: x' = P - mu x; invariant interval (0, P/mu)."""
+        P, mu = self.P, self.mu
+        return SwitchingFields(g0=lambda x: -mu * x, g1=lambda x: P - mu * x,
+                               q0=_scalar_fn(self.q0), q1=_scalar_fn(self.q1),
+                               dg0=lambda x: -mu, dg1=lambda x: -mu, a=self.x_max)
+
 
 def make_gene_expression(p: GeneExpressionParams) -> PdmpModel:
     """Protein level x with an on/off gene: x' = -mu x (off), x' = P - mu x (on)."""
-    P, mu, a = p.P, p.mu, p.x_max
-    flow_off = Flow(dim=1,
-                    rhs=lambda x: np.array([-mu * x[0]]),
-                    closed_form=lambda t, x: x * math.exp(-mu * t),
-                    jacobian=lambda x: np.array([[-mu]]))
-    flow_on = Flow(dim=1,
-                   rhs=lambda x: np.array([P - mu * x[0]]),
-                   closed_form=lambda t, x: a + (x - a) * math.exp(-mu * t),
-                   jacobian=lambda x: np.array([[-mu]]))
-    grid = np.linspace(0.0, a, 2049)
-    hz_on = _state_hazard(p.q0, bound_grid=grid)
-    hz_off = _state_hazard(p.q1, bound_grid=grid)
-
-    def activate(x, regime, rng):
-        return x.copy(), 1
-
-    def deactivate(x, regime, rng):
-        return x.copy(), 0
-
-    regime_off = Regime(0, flow_off,
-                        hazards=(HazardChannel(hz_on, JumpKernel(activate), "activate"),))
-    regime_on = Regime(1, flow_on,
-                       hazards=(HazardChannel(hz_off, JumpKernel(deactivate), "deactivate"),))
-    return PdmpModel("gene_expression", (regime_off, regime_on),
-                     {"P": P, "mu": mu, "q0": p.q0, "q1": p.q1, "x_max": a})
+    mu, a = p.mu, p.x_max
+    closed = (lambda t, x: x * math.exp(-mu * t),
+              lambda t, x: a + (x - a) * math.exp(-mu * t))
+    return _switching_model("gene_expression", p.fields(), (p.q0, p.q1),
+                            ("activate", "deactivate"),
+                            {"P": p.P, "mu": mu, "q0": p.q0, "q1": p.q1, "x_max": a},
+                            closed_forms=closed, bound_grid=np.linspace(0.0, a, 2049))
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +463,18 @@ class AlleeParams:
         bound = (self.B * self.K + 1.0) ** 2 / (4.0 * self.K * self.B)
         _require(1.0 < self.A < bound, "1 < A < (B*K+1)^2 / (4*K*B)")
 
+    def fields(self) -> SwitchingFields:
+        """x' = lam (1 - x/K - A i / (1 + B x)) x in regime i; q01 and q10 switch."""
+        lam, K, A, B = self.lam, self.K, self.A, self.B
 
-def allee_rhs(p: AlleeParams, i: int) -> Callable[[float], float]:
-    return lambda x: p.lam * (1.0 - x / p.K - p.A * i / (1.0 + p.B * x)) * x
+        def g(i):
+            return lambda x: lam * (1.0 - x / K - A * i / (1.0 + B * x)) * x
 
+        def dg(i):
+            return lambda x: lam * (1.0 - 2.0 * x / K - A * i / (1.0 + B * x) ** 2)
 
-def allee_rhs_prime(p: AlleeParams, i: int) -> Callable[[float], float]:
-    return lambda x: p.lam * (1.0 - 2.0 * x / p.K - p.A * i / (1.0 + p.B * x) ** 2)
+        return SwitchingFields(g0=g(0), g1=g(1), q0=_scalar_fn(self.q01),
+                               q1=_scalar_fn(self.q10), dg0=dg(0), dg1=dg(1))
 
 
 def allee_interior_roots(p: AlleeParams) -> tuple:
@@ -431,25 +493,7 @@ def allee_interior_roots(p: AlleeParams) -> tuple:
 def make_allee(p: AlleeParams) -> PdmpModel:
     """Switching between plain logistic growth and growth with an Allee effect."""
     x1, x2 = allee_interior_roots(p)
-    flows = []
-    for i in (0, 1):
-        rhs = allee_rhs(p, i)
-        drhs = allee_rhs_prime(p, i)
-        flows.append(Flow(dim=1,
-                          rhs=lambda x, _f=rhs: np.array([_f(float(x[0]))]),
-                          jacobian=lambda x, _d=drhs: np.array([[_d(float(x[0]))]])))
-
-    def to1(x, regime, rng):
-        return x.copy(), 1
-
-    def to0(x, regime, rng):
-        return x.copy(), 0
-
-    regime0 = Regime(0, flows[0],
-                     hazards=(HazardChannel(_state_hazard(p.q01), JumpKernel(to1), "switch"),))
-    regime1 = Regime(1, flows[1],
-                     hazards=(HazardChannel(_state_hazard(p.q10), JumpKernel(to0), "switch"),))
-    return PdmpModel("allee", (regime0, regime1), {
+    return _switching_model("allee", p.fields(), (p.q01, p.q10), ("switch", "switch"), {
         "lam": p.lam, "K": p.K, "A": p.A, "B": p.B, "q01": p.q01, "q10": p.q10,
         "x1": x1, "x2": x2,
     })
@@ -472,16 +516,19 @@ class BirthSwitchParams:
         _require(self.c > 0, "c > 0")
         grid = np.linspace(0.0, self.attractor_end, 257)
         for name, q in (("q0", self.q0), ("q1", self.q1)):
-            _check_positive_on(_scalar_fn(q, name), grid, f"{name} > 0")
+            _check_positive_on(_scalar_fn(q), grid, f"{name} > 0")
 
     @property
     def attractor_end(self) -> float:
         return (self.b1 - self.mu) / self.c
 
-
-def birth_switch_rhs(p: BirthSwitchParams, i: int) -> Callable[[float], float]:
-    rho = (p.b0 if i == 0 else p.b1) - p.mu
-    return lambda x: (rho - p.c * x) * x
+    def fields(self) -> SwitchingFields:
+        """x' = (rho_i - c x) x with rho_i = b_i - mu; invariant interval (0, a]."""
+        c, rho0, rho1 = self.c, self.b0 - self.mu, self.b1 - self.mu
+        return SwitchingFields(g0=lambda x: (rho0 - c * x) * x, g1=lambda x: (rho1 - c * x) * x,
+                               q0=_scalar_fn(self.q0), q1=_scalar_fn(self.q1),
+                               dg0=lambda x: rho0 - 2.0 * c * x,
+                               dg1=lambda x: rho1 - 2.0 * c * x, a=self.attractor_end)
 
 
 def _logistic_closed_form(rho: float, c: float):
@@ -498,29 +545,11 @@ def _logistic_closed_form(rho: float, c: float):
 def make_birth_switch(p: BirthSwitchParams) -> PdmpModel:
     """Population size on (0, inf) switching between a subcritical and a
     supercritical logistic law; the attracting interval is (0, a], a=(b1-mu)/c."""
-    flows = []
-    for i in (0, 1):
-        rho = (p.b0 if i == 0 else p.b1) - p.mu
-        rhs = birth_switch_rhs(p, i)
-        flows.append(Flow(dim=1,
-                          rhs=lambda x, _f=rhs: np.array([_f(float(x[0]))]),
-                          closed_form=_logistic_closed_form(rho, p.c),
-                          jacobian=lambda x, _r=rho: np.array([[_r - 2.0 * p.c * float(x[0])]])))
-
-    def to1(x, regime, rng):
-        return x.copy(), 1
-
-    def to0(x, regime, rng):
-        return x.copy(), 0
-
-    regime0 = Regime(0, flows[0],
-                     hazards=(HazardChannel(_state_hazard(p.q0), JumpKernel(to1), "switch"),))
-    regime1 = Regime(1, flows[1],
-                     hazards=(HazardChannel(_state_hazard(p.q1), JumpKernel(to0), "switch"),))
-    return PdmpModel("birth_switch", (regime0, regime1), {
+    closed = (_logistic_closed_form(p.b0 - p.mu, p.c), _logistic_closed_form(p.b1 - p.mu, p.c))
+    return _switching_model("birth_switch", p.fields(), (p.q0, p.q1), ("switch", "switch"), {
         "b0": p.b0, "b1": p.b1, "c": p.c, "mu": p.mu, "q0": p.q0, "q1": p.q1,
         "a": p.attractor_end,
-    })
+    }, closed_forms=closed)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +595,8 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
     of half its size.  ``g=None`` marks frozen sizes and takes an exact
     constant-rate path.
     """
-    b_fn = _scalar_fn(b, "b")
-    d_fn = _scalar_fn(d, "d")
+    b_fn = _scalar_fn(b)
+    d_fn = _scalar_fn(d)
     sizes = [float(x) for x in initial_sizes]
     _require(all(x > 0 for x in sizes), "all initial sizes > 0")
     _require(horizon > 0, "horizon > 0")

@@ -8,13 +8,13 @@ clocks beat hazards, lower channel index beats higher.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .csvout import F17, write_csv
 from .errors import (
     HorizonExceeded,
     InvalidParam,
@@ -32,14 +32,9 @@ KernelFn = Callable[[Array, int, np.random.Generator], tuple]
 
 @dataclass(frozen=True)
 class JumpKernel:
-    """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label]).
-
-    ``density_or_atoms`` is an optional analytic description of the transition
-    measure, kept for analysis code; the engine only calls the sampler.
-    """
+    """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label])."""
 
     sampler: KernelFn
-    density_or_atoms: Optional[object] = None
 
     def apply(self, x: Array, regime: int, rng: np.random.Generator):
         out = self.sampler(x, regime, rng)
@@ -225,10 +220,8 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
     x_pre = flow_evolve(reg.flow, x, dt)
     x_post, reg_post, kind = kernel.apply(x_pre, regime, rng)
     target = model.regimes[reg_post]
-    if target.domain is not None:
-        assert target.domain(x_post), (
-            f"kernel left the domain of regime {reg_post}: state {x_post!r}"
-        )
+    if target.domain is not None and not target.domain(x_post):
+        raise InvalidParam(f"kernel left the domain of regime {reg_post}: state {x_post!r}")
     return EventResult(dt, kind or label, x_pre, x_post, reg_post)
 
 
@@ -322,7 +315,6 @@ def _run_path(model: PdmpModel, initial_sampler, horizon: float, snaps: Array,
 
 def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths: int,
                       seed: int, snapshot_times: Sequence[float] = (),
-                      threads: int = 1,
                       jump_budget: int = DEFAULT_JUMP_BUDGET) -> EnsembleResult:
     """Independent paths on decorrelated streams derived from ``seed``.
 
@@ -345,29 +337,14 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
         horizon=horizon,
         errors=[],
     )
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(
-                lambda i: _run_path(model, initial_sampler, horizon, snaps, seed, i,
-                                    out, jump_budget),
-                range(n_paths),
-            ))
-        out.errors.sort()
-    else:
-        for i in range(n_paths):
-            _run_path(model, initial_sampler, horizon, snaps, seed, i, out, jump_budget)
+    for i in range(n_paths):
+        _run_path(model, initial_sampler, horizon, snaps, seed, i, out, jump_budget)
     return out
 
 
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def trajectories_to_csv(trajectories: Sequence[Trajectory], path) -> None:
@@ -377,24 +354,28 @@ def trajectories_to_csv(trajectories: Sequence[Trajectory], path) -> None:
     dim = trajectories[0].model.dim
     header = (["path_id", "t", "event_kind", "regime_pre", "regime_post"]
               + [f"pre_s{k}" for k in range(dim)] + [f"post_s{k}" for k in range(dim)])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for pid, traj in enumerate(trajectories):
-            for j in traj.jumps:
-                w.writerow([pid, _fmt(j.t), j.kind, j.regime_pre, j.regime_post]
-                           + [_fmt(v) for v in j.state_pre]
-                           + [_fmt(v) for v in j.state_post])
+    write_csv(path, header, (
+        [pid, F17(j.t), j.kind, j.regime_pre, j.regime_post]
+        + [F17(v) for v in j.state_pre] + [F17(v) for v in j.state_post]
+        for pid, traj in enumerate(trajectories) for j in traj.jumps))
+
+
+def _snapshots_csv(path, dim: int, rows) -> None:
+    """Time slices from (path_id, t_snap, state, regime) tuples."""
+    write_csv(path, ["path_id", "t_snap", "regime"] + [f"s{k}" for k in range(dim)],
+              ([pid, F17(t), reg] + [F17(v) for v in state] for pid, t, state, reg in rows))
 
 
 def snapshots_to_csv(ensemble: EnsembleResult, path) -> None:
     """Time slices: (path_id, t_snap, regime, s0, s1, ...)."""
-    dim = ensemble.final_states.shape[1]
-    header = ["path_id", "t_snap", "regime"] + [f"s{k}" for k in range(dim)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for si, t in enumerate(ensemble.snapshot_times):
-            for pid in range(ensemble.final_states.shape[0]):
-                w.writerow([pid, _fmt(t), int(ensemble.snapshot_regimes[si, pid])]
-                           + [_fmt(v) for v in ensemble.snapshot_states[si, pid]])
+    n_paths, dim = ensemble.final_states.shape
+    _snapshots_csv(path, dim, (
+        (pid, t, ensemble.snapshot_states[si, pid], int(ensemble.snapshot_regimes[si, pid]))
+        for si, t in enumerate(ensemble.snapshot_times) for pid in range(n_paths)))
+
+
+def trajectory_snapshots_to_csv(trajectories: Sequence[Trajectory], times, path) -> None:
+    """The layout of :func:`snapshots_to_csv`, read off recorded trajectories."""
+    _snapshots_csv(path, trajectories[0].model.dim, (
+        (pid, t, *traj.state_at(t)) for t in sorted(times)
+        for pid, traj in enumerate(trajectories)))

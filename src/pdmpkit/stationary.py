@@ -232,37 +232,24 @@ def classify(sys: SwitchingSystem1D) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
+def switching_system(fields) -> SwitchingSystem1D:
+    """A catalog model's :class:`~pdmpkit.models.SwitchingFields` as a system on (0, a)."""
+    if fields.a is None:
+        raise InvalidParam("the model has no invariant interval (0, a)")
+    at = lambda dg, x: None if dg is None else dg(x)
+    return SwitchingSystem1D(g0=fields.g0, g1=fields.g1, q0=fields.q0, q1=fields.q1,
+                             a=fields.a, dg0_at_0=at(fields.dg0, 0.0),
+                             dg1_at_0=at(fields.dg1, 0.0), dg1_at_a=at(fields.dg1, fields.a))
+
+
 def gene_switching_system(params) -> SwitchingSystem1D:
     """Gene-expression model as a switching system on (0, P/mu)."""
-    from .models import GeneExpressionParams, _scalar_fn
-
-    p: GeneExpressionParams = params
-    mu, P = p.mu, p.P
-    q0 = _scalar_fn(p.q0, "q0")
-    q1 = _scalar_fn(p.q1, "q1")
-    return SwitchingSystem1D(
-        g0=lambda x: -mu * x,
-        g1=lambda x: P - mu * x,
-        q0=q0, q1=q1, a=P / mu,
-        dg0_at_0=-mu, dg1_at_0=-mu, dg1_at_a=-mu,
-    )
+    return switching_system(params.fields())
 
 
 def birth_switch_system(params) -> SwitchingSystem1D:
     """Birth-switch model as a switching system on (0, (b1-mu)/c)."""
-    from .models import BirthSwitchParams, _scalar_fn, birth_switch_rhs
-
-    p: BirthSwitchParams = params
-    return SwitchingSystem1D(
-        g0=birth_switch_rhs(p, 0),
-        g1=birth_switch_rhs(p, 1),
-        q0=_scalar_fn(p.q0, "q0"),
-        q1=_scalar_fn(p.q1, "q1"),
-        a=p.attractor_end,
-        dg0_at_0=p.b0 - p.mu,
-        dg1_at_0=p.b1 - p.mu,
-        dg1_at_a=(p.b1 - p.mu) - 2.0 * p.c * p.attractor_end,
-    )
+    return switching_system(params.fields())
 
 
 # ---------------------------------------------------------------------------

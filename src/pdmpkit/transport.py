@@ -9,13 +9,13 @@ every step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from .csvout import F17, write_csv
 from .errors import (
     CflViolation,
     DtMisaligned,
@@ -169,14 +169,19 @@ def _upwind_step(u: Array, g_edges: Array, dt: float, h: float) -> float:
     return out
 
 
-def _n_steps(t_end: float, dt: float) -> Tuple[int, float]:
-    if dt <= 0 or t_end < 0:
-        raise InvalidParam("need dt > 0 and t_end >= 0")
-    n_full = int(math.floor(t_end / dt + 1e-9))
-    rem = t_end - n_full * dt
-    if rem < 1e-12 * max(1.0, t_end):
-        rem = 0.0
-    return n_full, rem
+class _FixedStepSolver:
+    """Advance by whole steps of ``self.dt`` plus one shorter remainder step."""
+
+    def advance(self, density: DensityGrid, duration: float) -> DensityGrid:
+        if self.dt <= 0 or duration < 0:
+            raise InvalidParam("need dt > 0 and t_end >= 0")
+        n_full = int(math.floor(duration / self.dt + 1e-9))
+        rem = duration - n_full * self.dt
+        for _ in range(n_full):
+            self.step(density)
+        if rem >= 1e-12 * max(1.0, duration):
+            self.step(density, rem)
+        return density
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +189,7 @@ def _n_steps(t_end: float, dt: float) -> Tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-class LiouvilleSolver:
+class LiouvilleSolver(_FixedStepSolver):
     """u_t = -(g u)_x on one regime, first-order upwind."""
 
     def __init__(self, grid: Grid1D, g: Callable[[float], float], dt: float):
@@ -199,14 +204,6 @@ class LiouvilleSolver:
         density.time += dt
         _audit(density, "liouville")
 
-    def advance(self, density: DensityGrid, duration: float) -> DensityGrid:
-        n_full, rem = _n_steps(duration, self.dt)
-        for _ in range(n_full):
-            self.step(density)
-        if rem > 0.0:
-            self.step(density, rem)
-        return density
-
 
 def evolve_liouville(grid: Grid1D, g, f0, t_end: float, dt: float) -> DensityGrid:
     density = density_from(grid, [f0])
@@ -218,7 +215,7 @@ def evolve_liouville(grid: Grid1D, g, f0, t_end: float, dt: float) -> DensityGri
 # ---------------------------------------------------------------------------
 
 
-class SwitchingSolver:
+class SwitchingSolver(_FixedStepSolver):
     """Two-regime transport with exact per-cell exchange for the switching matrix.
 
     Operator splitting per step: upwind transport in each regime, then the
@@ -258,29 +255,13 @@ class SwitchingSolver:
         density.time += dt
         _audit(density, "switching")
 
-    def advance(self, density: DensityGrid, duration: float) -> DensityGrid:
-        n_full, rem = _n_steps(duration, self.dt)
-        for _ in range(n_full):
-            self.step(density)
-        if rem > 0.0:
-            self.step(density, rem)
-        return density
-
-
-def evolve_switching(grid: Grid1D, g0, g1, q0, q1, f0_pair, t_end: float,
-                     dt: float) -> DensityGrid:
-    density = density_from(grid, f0_pair)
-    if density.n_regimes != 2:
-        raise InvalidParam("switching solver needs a density pair")
-    return SwitchingSolver(grid, g0, g1, q0, q1, dt).advance(density, t_end)
-
 
 # ---------------------------------------------------------------------------
 # one-phase cell cycle master equation
 # ---------------------------------------------------------------------------
 
 
-class CellCycleSolver:
+class CellCycleSolver(_FixedStepSolver):
     """Transport with division: loss phi(x) f(x), gain 2 phi(2x) f(2x).
 
     On a dyadic grid, cell k maps exactly into cell k//2 under x -> x/2, so
@@ -311,19 +292,6 @@ class CellCycleSolver:
         u[:half] += loss[0::2] + loss[1::2]
         density.time += dt
         _audit(density, "cell_cycle")
-
-    def advance(self, density: DensityGrid, duration: float) -> DensityGrid:
-        n_full, rem = _n_steps(duration, self.dt)
-        for _ in range(n_full):
-            self.step(density)
-        if rem > 0.0:
-            self.step(density, rem)
-        return density
-
-
-def evolve_cell_cycle(grid: Grid1D, g, phi, f0, t_end: float, dt: float) -> DensityGrid:
-    density = density_from(grid, [f0])
-    return CellCycleSolver(grid, g, phi, dt).advance(density, t_end)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +418,6 @@ class TwoPhaseSolver:
         return density
 
 
-def evolve_two_phase(x_grid: Grid1D, n_y: int, g, phi, t_B: float, f0_pair,
-                     t_end: float, dt: float) -> TwoPhaseDensity:
-    f_a0, f_b0 = f0_pair
-    density = two_phase_density(x_grid, n_y, t_B, f_a0, f_b0)
-    return TwoPhaseSolver(x_grid, n_y, t_B, g, phi, dt).advance(density, t_end)
-
-
 # ---------------------------------------------------------------------------
 # steady state search and export
 # ---------------------------------------------------------------------------
@@ -505,19 +466,12 @@ def coarsen_density(density: DensityGrid, factor: int) -> DensityGrid:
 
 def density_to_csv(density: Union[DensityGrid, TwoPhaseDensity], path) -> None:
     """Snapshot export: rows (t, regime, cell_center, value)."""
-    def fmt(v):
-        return f"{v:.17g}"
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "regime", "cell_center", "value"])
-        if isinstance(density, DensityGrid):
-            for r in range(density.n_regimes):
-                for x, v in zip(density.grid.centers, density.values[r]):
-                    w.writerow([fmt(density.time), r, fmt(x), fmt(v)])
-        else:
-            for x, v in zip(density.x_grid.centers, density.f_a):
-                w.writerow([fmt(density.time), 0, fmt(x), fmt(v)])
-            marg = density.f_b.sum(axis=1) * density.dy + density.staging
-            for x, v in zip(density.x_grid.centers, marg):
-                w.writerow([fmt(density.time), 1, fmt(x), fmt(v)])
+    if isinstance(density, DensityGrid):
+        centers, blocks = density.grid.centers, density.values
+    else:   # f_a, then the phase-B marginal
+        centers = density.x_grid.centers
+        blocks = (density.f_a, density.f_b.sum(axis=1) * density.dy + density.staging)
+    t = F17(density.time)
+    write_csv(path, ["t", "regime", "cell_center", "value"],
+              ([t, r, F17(x), F17(v)] for r, vals in enumerate(blocks)
+               for x, v in zip(centers, vals)))

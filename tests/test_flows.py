@@ -17,10 +17,8 @@ from pdmpkit import (
     cumulative_hazard,
     dkw_epsilon,
     flow_evolve,
-    hazard_integral,
     ks_statistic,
     path_rng,
-    q_transform,
     sample_jump_time,
     two_sample_ks,
 )
@@ -100,19 +98,20 @@ class TestFlowEvolve:
 class TestHazardIntegral:
     def test_constant_rate(self):
         flow = gene_inactive_flow()
-        assert hazard_integral(flow, Hazard.constant(2.0), [1.0], 3.0) == pytest.approx(6.0)
+        cum = cumulative_hazard(flow, Hazard.constant(2.0), [1.0], [3.0])
+        assert cum.values[-1] == pytest.approx(6.0)
 
     def test_frozen_flow(self):
         frozen = Flow(dim=1, rhs=lambda x: np.zeros(1))
         hz = Hazard(rate=lambda x: float(x[0]))
-        assert hazard_integral(frozen, hz, [2.0], 3.0) == pytest.approx(6.0, abs=1e-8)
+        assert cumulative_hazard(frozen, hz, [2.0], [3.0]).values[-1] == pytest.approx(6.0, abs=1e-8)
 
     def test_exponential_growth(self):
         # rate(x)=x along x'=x from 1: integral of e^s over [0,1]
         expected, _ = quad(math.exp, 0.0, 1.0)
         flow = Flow(dim=1, rhs=lambda x: x.copy())
         hz = Hazard(rate=lambda x: float(x[0]))
-        value = hazard_integral(flow, hz, [1.0], 1.0)
+        value = cumulative_hazard(flow, hz, [1.0], [1.0]).values[-1]
         assert value == pytest.approx(expected, abs=1e-8)
         assert value == pytest.approx(math.e - 1.0, abs=1e-8)
 
@@ -262,14 +261,14 @@ class TestBoundaryHit:
 
 class TestQTransform:
     def test_constant_over_unit_growth(self):
-        assert q_transform(lambda r: 1.0, lambda r: 3.0, 2.0) == pytest.approx(6.0)
+        assert QTransform(lambda r: 1.0, lambda r: 3.0)(2.0) == pytest.approx(6.0)
 
     def test_identity_ratio(self):
-        assert q_transform(lambda r: r, lambda r: r, 1.7) == pytest.approx(1.7)
+        assert QTransform(lambda r: r, lambda r: r)(1.7) == pytest.approx(1.7)
 
     def test_linear_intensity(self):
         expected, _ = quad(lambda r: r, 0.0, 2.0)
-        assert q_transform(lambda r: 1.0, lambda r: r, 2.0) == pytest.approx(expected)
+        assert QTransform(lambda r: 1.0, lambda r: r)(2.0) == pytest.approx(expected)
         assert expected == pytest.approx(2.0)
 
     def test_inverse_round_trip(self):
@@ -279,7 +278,7 @@ class TestQTransform:
 
     def test_divergent_near_zero(self):
         with pytest.raises(DivergentIntegral):
-            q_transform(lambda r: r, lambda r: 1.0, 1.0)
+            QTransform(lambda r: r, lambda r: 1.0)(1.0)
 
     def test_tabulated_matches_quadrature(self):
         q = QTransform(lambda r: 1.0 + r, lambda r: r)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import pdmpkit as pk
 from pdmpkit import (
-    FitReport,
     Grid1D,
     dkw_epsilon,
     empirical_density,
@@ -135,22 +134,6 @@ class TestKs:
     def test_empty_raises(self):
         with pytest.raises(EmptySample):
             ks_statistic(np.array([]), lambda t: t)
-
-
-class TestFitReport:
-    def test_threshold_flags(self):
-        rep = FitReport(n_samples=100, l1=0.02, ks=0.5,
-                        thresholds={"l1": 0.03, "ks": 0.1})
-        assert rep.passes == {"l1": True, "ks": False}
-        assert not rep.all_pass
-        d = rep.to_dict()
-        assert d["schema_version"] == 1 and d["l1_distance"] == 0.02
-
-    def test_range_validation(self):
-        with pytest.raises(InvalidParam):
-            FitReport(n_samples=1, l1=2.5)
-        with pytest.raises(InvalidParam):
-            FitReport(n_samples=1, ks=1.5)
 
 
 class TestSweepingMass:

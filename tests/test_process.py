@@ -2,10 +2,16 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdmpkit
 from pdmpkit import (
     DeterministicClock,
     FixedDelay,
@@ -189,19 +195,6 @@ class TestEnsemble:
         assert np.array_equal(ens.snapshot_states[0, 0], state)
         assert np.array_equal(ens.final_states[0], traj.state_at(25.0)[0])
 
-    def test_threads_do_not_change_results(self):
-        model = make_telegraph(1.0, 1.0)
-
-        def init(rng):
-            v = 1.0 if rng.uniform() < 0.5 else -1.0
-            return np.array([0.0, v]), 0
-
-        a = simulate_ensemble(model, init, 10.0, 64, seed=5, snapshot_times=[5.0])
-        b = simulate_ensemble(model, init, 10.0, 64, seed=5, snapshot_times=[5.0],
-                              threads=4)
-        assert np.array_equal(a.final_states, b.final_states)
-        assert np.array_equal(a.snapshot_states, b.snapshot_states)
-
     def test_symmetric_telegraph_mean_zero(self):
         model = make_telegraph(1.0, 1.0)
 
@@ -268,3 +261,27 @@ class TestValidation:
         r1 = Regime(1, frozen_flow(2), absorbing=True)
         with pytest.raises(InvalidParam):
             PdmpModel("bad", (r0, r1))
+
+    def test_kernel_outside_domain_raises_under_optimize(self):
+        # the domain check must hold under python -O, which strips asserts
+        script = textwrap.dedent("""
+            import numpy as np
+            from pdmpkit import (Flow, Hazard, HazardChannel, JumpKernel, PdmpModel,
+                                 Regime, next_event, path_rng)
+            from pdmpkit.errors import InvalidParam
+
+            flow = Flow(dim=1, rhs=lambda x: np.zeros(1), closed_form=lambda t, x: x.copy())
+            leap = JumpKernel(lambda x, r, rng: (x + 2.0, 0))
+            regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(1.0), leap),),
+                            domain=lambda x: x[0] < 1.0)
+            try:
+                next_event(PdmpModel("leaky", (regime,)), [0.0], 0, path_rng(1, 0), t_max=1e6)
+            except InvalidParam as exc:
+                print("InvalidParam:", exc)
+        """)
+        src = Path(pdmpkit.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("InvalidParam: kernel left the domain of regime 0")

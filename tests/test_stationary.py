@@ -236,8 +236,8 @@ class TestPositivity:
 
     def test_gene_intensities_positive_on_attractor(self):
         p = GeneExpressionParams(P=1.0, mu=1.0, q0=1.0, q1=1.0)
-        from pdmpkit.models import _scalar_fn
+        fields = p.fields()
         rep = intensity_positivity_check(
-            [_scalar_fn(p.q0, "q0"), _scalar_fn(p.q1, "q1")],
+            [fields.q0, fields.q1],
             lambda rng: rng.uniform(0.0, 1.0), 300, pk.path_rng(60, 3))
         assert rep.holds

@@ -13,10 +13,7 @@ from pdmpkit import (
     SwitchingSolver,
     TwoPhaseSolver,
     density_from,
-    evolve_cell_cycle,
     evolve_liouville,
-    evolve_switching,
-    evolve_two_phase,
     steady_state,
     two_phase_density,
 )
@@ -119,8 +116,8 @@ class TestSwitching:
         grid = Grid1D(0.0, 1.0, 64)
         g0, g1 = self.gene_fields()
         dt = 0.4 * grid.h
-        pair = evolve_switching(grid, g0, g1, lambda x: 0.0, lambda x: 0.0,
-                                [bump(0.5, 0.1), bump(0.3, 0.05)], 0.5, dt)
+        pair = SwitchingSolver(grid, g0, g1, lambda x: 0.0, lambda x: 0.0, dt).advance(
+            density_from(grid, [bump(0.5, 0.1), bump(0.3, 0.05)]), 0.5)
         solo0 = evolve_liouville(grid, g0, bump(0.5, 0.1), 0.5, dt)
         solo1 = evolve_liouville(grid, g1, bump(0.3, 0.05), 0.5, dt)
         assert np.allclose(pair.values[0], solo0.values[0], atol=1e-13)
@@ -184,8 +181,8 @@ class TestCellCycle:
     def test_zero_intensity_is_pure_transport(self):
         grid = Grid1D(0.0, 4.0, 64, dyadic_aligned=True)
         dt = 0.4 * grid.h / 4.0
-        a = evolve_cell_cycle(grid, lambda x: x, lambda x: 0.0, bump(1.0, 0.2),
-                              0.5, dt)
+        a = CellCycleSolver(grid, lambda x: x, lambda x: 0.0, dt).advance(
+            density_from(grid, [bump(1.0, 0.2)]), 0.5)
         b = evolve_liouville(Grid1D(0.0, 4.0, 64), lambda x: x, bump(1.0, 0.2),
                              0.5, dt)
         assert np.allclose(a.values, b.values, atol=1e-14)
@@ -206,8 +203,8 @@ class TestTwoPhase:
         n_y, t_B = 16, 0.5
         dt = t_B / n_y
         f_b0 = np.ones((32, n_y))
-        dens = evolve_two_phase(grid, n_y, lambda x: 0.2, lambda x: 0.0, t_B,
-                                (bump(1.0, 0.2), f_b0), t_B, dt)
+        dens = TwoPhaseSolver(grid, n_y, t_B, lambda x: 0.2, lambda x: 0.0, dt).advance(
+            two_phase_density(grid, n_y, t_B, bump(1.0, 0.2), f_b0), t_B)
         mass_a, mass_b = dens.phase_masses()
         assert mass_b == pytest.approx(0.0, abs=1e-14)
         assert dens.time == pytest.approx(t_B)
