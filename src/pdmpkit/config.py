@@ -153,6 +153,10 @@ def validate_config(cfg: dict) -> dict:
             _check_keys(cfg[command], req, opt, command)
     if command == "evolve":
         _check_keys(cfg["evolve"]["grid"], {"n", "x_max"}, {"x_min"}, "evolve.grid")
+        name = cfg["model"]["name"]
+        if "x_min" in cfg["evolve"]["grid"] and name in ("cell_cycle_1p", "cell_cycle_2p"):
+            raise ConfigError(f"evolve.grid.x_min is not allowed for {name}: its dyadic "
+                              "grid starts at 0", key="evolve.grid.x_min")
         if "f0" in cfg["evolve"]:
             _check_keys(cfg["evolve"]["f0"], {"kind"}, _F0_KEYS - {"kind"}, "evolve.f0")
         if "steady" in cfg["evolve"]:

@@ -7,6 +7,7 @@ law exactly is the core service of this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,6 +39,7 @@ class Flow:
 
     ``rhs`` is the vector field g(x).  ``closed_form(t, x0)`` is an optional
     exact solution used instead of numerical integration wherever available;
+    return a 1-D float64 ndarray of length ``dim``, or pay a conversion per call.
     ``jacobian(x)`` (d x d) is only needed for Lie-bracket computations.
     ``domain(x)``, when given, must be positive inside the admissible region;
     the ODE path raises :class:`DomainExit` when it crosses zero.
@@ -112,8 +114,24 @@ class CumulativeHazard:
         return -np.expm1(-self.values)
 
 
+_F64 = np.dtype(float)
+
+
+def as_vector(v) -> Array:
+    """``np.atleast_1d(np.asarray(v, dtype=float))``, returning a 1-D float64
+    ndarray as it is (the same object) without paying for those calls."""
+    if type(v) is np.ndarray and v.dtype == _F64 and v.ndim == 1:
+        return v
+    return np.atleast_1d(np.asarray(v, dtype=float))
+
+
+def all_finite(a: Array) -> bool:
+    """``np.all(np.isfinite(a))`` for a float array, without numpy's per-call cost."""
+    return all(map(math.isfinite, a.flat))
+
+
 def _as_state(x0, dim: int) -> Array:
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = as_vector(x0)
     if x.shape != (dim,):
         raise InvalidParam(f"state must have shape ({dim},), got {x.shape}")
     return x
@@ -127,8 +145,8 @@ def flow_evolve(flow: Flow, x0, t: float, rtol: float = TOL_FLOW, atol: float = 
     if t == 0.0:
         return x.copy()
     if flow.closed_form is not None:
-        out = np.atleast_1d(np.asarray(flow.closed_form(t, x), dtype=float))
-        if not np.all(np.isfinite(out)):
+        out = as_vector(flow.closed_form(t, x))
+        if not all_finite(out):
             raise NonFinite(f"closed-form flow produced non-finite state at t={t:.6g}")
         return out
 
@@ -307,7 +325,7 @@ def _rate_nodes(flow: Flow, hz: Hazard, x0: Array):
     else:
         def eval_nodes(ts):
             return np.array([
-                hz.rate_at(np.atleast_1d(np.asarray(flow.closed_form(t, x0), dtype=float)))
+                hz.rate_at(as_vector(flow.closed_form(t, x0)))
                 for t in ts
             ])
     return eval_nodes
@@ -448,7 +466,7 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0, t_max:
 
     if flow.closed_form is not None:
         def h_at(t):
-            return float(event_fn(np.atleast_1d(np.asarray(flow.closed_form(t, x), dtype=float))))
+            return float(event_fn(as_vector(flow.closed_form(t, x))))
 
         h_prev = h_at(0.0)
         t_prev = 0.0

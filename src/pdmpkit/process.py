@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .errors import (
     JumpBudgetExceeded,
     NonFinite,
 )
-from .flows import Flow, Hazard, boundary_hit_time, flow_evolve, sample_jump_time
+from .flows import (Flow, Hazard, all_finite, as_vector, boundary_hit_time, flow_evolve,
+                    sample_jump_time)
 
 Array = np.ndarray
 
@@ -32,7 +34,10 @@ KernelFn = Callable[[Array, int, np.random.Generator], tuple]
 
 @dataclass(frozen=True)
 class JumpKernel:
-    """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label])."""
+    """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label]).
+
+    Return the state as a 1-D float64 ndarray, or pay a conversion on every jump.
+    """
 
     sampler: KernelFn
 
@@ -43,8 +48,8 @@ class JumpKernel:
             label = None
         else:
             state, reg, label = out
-        state = np.atleast_1d(np.asarray(state, dtype=float))
-        if not np.all(np.isfinite(state)):
+        state = as_vector(state)
+        if not all_finite(state):
             raise NonFinite("jump kernel produced a non-finite state")
         return state, int(reg), label
 
@@ -91,12 +96,17 @@ class Regime:
     clocks: Tuple[DeterministicClock, ...] = ()
     absorbing: bool = False
     domain: Optional[Callable[[Array], bool]] = None
+    # the regime's one jump cause when it has one hazard and no clock
+    sole_hazard: Optional[HazardChannel] = field(init=False, default=None, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hazards", tuple(
             h if isinstance(h, HazardChannel) else HazardChannel(*h) for h in self.hazards
         ))
         object.__setattr__(self, "clocks", tuple(self.clocks))
+        if len(self.hazards) == 1 and not self.clocks:
+            object.__setattr__(self, "sole_hazard", self.hazards[0])
         if not self.absorbing and not self.hazards and not self.clocks:
             raise InvalidParam(
                 f"regime {self.index} has no hazards and no clocks; declare it absorbing"
@@ -125,8 +135,7 @@ class PdmpModel:
         return self.regimes[0].flow.dim
 
 
-@dataclass(frozen=True)
-class EventResult:
+class EventResult(NamedTuple):
     """Outcome of one resolved event, relative to the segment start."""
 
     dt: float
@@ -136,15 +145,13 @@ class EventResult:
     regime_post: int
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     t_start: float
     regime: int
     state: Array
 
 
-@dataclass(frozen=True)
-class JumpRecord:
+class JumpRecord(NamedTuple):
     t: float
     kind: str
     regime_pre: int
@@ -166,27 +173,16 @@ class Trajectory:
         """State and regime at time t, reconstructed by flowing within a segment."""
         if not 0.0 <= t <= self.horizon:
             raise InvalidParam(f"t={t} outside [0, horizon]")
-        starts = [s.t_start for s in self.segments]
-        i = bisect_right(starts, t) - 1
+        i = bisect_right(self.segments, t, key=attrgetter("t_start")) - 1
         seg = self.segments[i]
         flow = self.model.regimes[seg.regime].flow
         return flow_evolve(flow, seg.state, t - seg.t_start), seg.regime
 
 
-def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *,
-               t_max: float, elapsed_in_regime: float = 0.0) -> Optional[EventResult]:
-    """Resolve the earliest event among all hazards and clocks of the regime.
-
-    Returns None when nothing fires before ``t_max`` (the caller truncates the
-    segment there).  Fixed-delay clocks measure time since the regime was
-    entered, hence ``elapsed_in_regime``.
-    """
-    if t_max <= 0:
-        return None
-    reg = model.regimes[regime]
-    x = np.atleast_1d(np.asarray(state, dtype=float))
-
-    # (dt, rank, channel_index, kernel, label); clocks get rank 0 so they win ties
+def _earliest_cause(reg: Regime, x: Array, rng: np.random.Generator, t_max: float,
+                    elapsed_in_regime: float):
+    """(dt, rank, channel_index, kernel, label) of the earliest clock or hazard
+    firing within ``t_max``, or None; clocks get rank 0 so they win ties."""
     best = None
     for ci, clock in enumerate(reg.clocks):
         if isinstance(clock.kind, FixedDelay):
@@ -213,10 +209,34 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
         cand = (dt, 1, hi, ch.kernel, ch.label)
         if best is None or cand[:3] < best[:3]:
             best = cand
+    return best
 
-    if best is None:
+
+def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *,
+               t_max: float, elapsed_in_regime: float = 0.0) -> Optional[EventResult]:
+    """Resolve the earliest event among all hazards and clocks of the regime.
+
+    Returns None when nothing fires before ``t_max`` (the caller truncates the
+    segment there).  Fixed-delay clocks measure time since the regime was
+    entered, hence ``elapsed_in_regime``.
+    """
+    if t_max <= 0:
         return None
-    dt, _, _, kernel, label = best
+    reg = model.regimes[regime]
+    x = as_vector(state)
+
+    ch = reg.sole_hazard
+    if ch is not None:
+        try:
+            dt = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=t_max)
+        except HorizonExceeded:
+            return None
+        kernel, label = ch.kernel, ch.label
+    else:
+        best = _earliest_cause(reg, x, rng, t_max, elapsed_in_regime)
+        if best is None:
+            return None
+        dt, _, _, kernel, label = best
     x_pre = flow_evolve(reg.flow, x, dt)
     x_post, reg_post, kind = kernel.apply(x_pre, regime, rng)
     target = model.regimes[reg_post]
@@ -228,11 +248,12 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
 def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
                 horizon: float, jump_budget: int = DEFAULT_JUMP_BUDGET
                 ) -> Iterator[Tuple[float, int, EventResult]]:
-    """Stream (absolute time, pre-jump regime, event) without storing the path."""
+    """Stream (absolute time, pre-jump regime, event) without storing the path;
+    one event more than ``jump_budget`` before the horizon raises instead."""
     if horizon <= 0:
         raise InvalidParam("horizon must be positive")
     t = 0.0
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = as_vector(x0)
     reg = int(regime0)
     entered = 0.0
     n = 0
@@ -241,11 +262,11 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
                         elapsed_in_regime=t - entered)
         if ev is None:
             return
+        if n == jump_budget:
+            raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
         t_jump = t + ev.dt
         yield t_jump, reg, ev
         n += 1
-        if n > jump_budget:
-            raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
         if ev.regime_post != reg:
             entered = t_jump
         t = t_jump

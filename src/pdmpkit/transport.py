@@ -435,8 +435,12 @@ def steady_state(solver, density, tol: float, t_max: float,
     """Advance until the L1 change per unit time drops below tol, or t_max.
 
     Returns (density, converged).  Works for any solver exposing
-    ``advance(density, duration)``.
+    ``advance(density, duration)``.  A :class:`TwoPhaseSolver` advances by
+    whole steps only, so it is checked every whole number of steps nearest
+    ``check_dt`` (at least one).
     """
+    if isinstance(solver, TwoPhaseSolver):
+        check_dt = max(1, round(check_dt / solver.dt)) * solver.dt
     t = 0.0
     weights = _l1_weights(density)
     while t < t_max - 1e-12:

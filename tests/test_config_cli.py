@@ -112,6 +112,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("name, extra", [("cell_cycle_1p", {}),
+                                             ("cell_cycle_2p", {"t_B": 0.5})])
+    def test_cell_cycle_evolve_rejects_x_min(self, name, extra):
+        cfg = {"command": "evolve",
+               "model": {"name": name, "g": "x", "phi": "x", **extra},
+               "evolve": {"grid": {"n": 16, "x_min": 2.0, "x_max": 8.0},
+                          "dt": 0.03125, "t_end": 0.5}}
+        with pytest.raises(ConfigError, match="x_min") as err:
+            validate_config(cfg)
+        assert err.value.key == "evolve.grid.x_min"
+        del cfg["evolve"]["grid"]["x_min"]
+        validate_config(cfg)
+
     def test_compare_mode_keys(self):
         cfg = {"command": "compare",
                "compare": {"mode": "dwell_ks", "n": 10, "bad_key": 1}}

@@ -1,7 +1,9 @@
 """Byte-level regression guard: SHA-256 of every artifact of a fixed set of runs.
 
 The digests pin five fast shipped configs plus one tiny ``evolve`` run per
-grid-solver model and one unrecorded ensemble.  They were recorded on
+grid-solver model and three ``simulate`` runs: unrecorded telegraph and
+logistic birth_switch ensembles (constant-rate route) and a recorded
+gene_expression run with a state-dependent rate (thinning route).  They were recorded on
 x86-64 Linux with numpy 2.4.6 and scipy 1.17.1; another numpy/scipy build may
 round differently in the last bit, which changes the 17-digit CSV text.  To
 see the digests of the current code run ``python tests/test_golden.py``.
@@ -53,10 +55,21 @@ EVOLVE = {
          "f0": _bump(0.5, 2.0)}),
 }
 
-ENSEMBLE = {
-    "model": {"name": "telegraph", "lam": 1.0, "c": 1.0},
-    "simulate": {"x0": [0.0, 1.0], "regime0": 0, "horizon": 5.0, "n_paths": 4,
-                 "snapshot_times": [1.0, 5.0], "record_trajectories": False},
+SIMULATE = {
+    "ensemble:telegraph": {
+        "model": {"name": "telegraph", "lam": 1.0, "c": 1.0},
+        "simulate": {"x0": [0.0, 1.0], "regime0": 0, "horizon": 5.0, "n_paths": 4,
+                     "snapshot_times": [1.0, 5.0], "record_trajectories": False}},
+    "ensemble:birth_switch": {
+        "model": {"name": "birth_switch", "b0": 0.2, "b1": 1.5, "c": 1.0, "mu": 1.0,
+                  "q0": 1.0, "q1": 1.0},
+        "simulate": {"x0": [0.3], "regime0": 0, "horizon": 20.0, "n_paths": 4,
+                     "snapshot_times": [5.0, 20.0], "record_trajectories": False}},
+    "recorded:gene_expression": {
+        "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": "1 + x",
+                  "q1": 1.0},
+        "simulate": {"x0": [0.5], "regime0": 0, "horizon": 20.0, "n_paths": 2,
+                     "snapshot_times": [5.0, 20.0]}},
 }
 
 
@@ -75,12 +88,11 @@ def run_case(case: str, out: Path) -> dict:
         model, section = EVOLVE[name]
         run("evolve", {"model": model, "evolve": section, "seed": 1}, out)
     else:
-        run("simulate", {**ENSEMBLE, "seed": 3}, out)
+        run("simulate", {**SIMULATE[case], "seed": 3}, out)
     return _digests(out)
 
 
-CASES = ([f"config:{n}" for n in SHIPPED] + [f"evolve:{n}" for n in EVOLVE]
-         + ["ensemble:telegraph"])
+CASES = [f"config:{n}" for n in SHIPPED] + [f"evolve:{n}" for n in EVOLVE] + list(SIMULATE)
 
 GOLDEN = {
     "config:accept09_reproducibility": {
@@ -103,6 +115,10 @@ GOLDEN = {
         "events.csv": "8708cb0207b3d05b48f9dd4e4b7e1a33c451d97655a6297f668e885d87e06b62",
         "population_snapshots.csv": "601c4ffe2e58aa4a31ef86b403a84cb9f0b0b183a98491f1c1972f642543e14a",
         "summary.json": "073b536ca95e96692c028ef2b1317897f537dd25e9a0a81e7bf36c9c569072e2",
+    },
+    "ensemble:birth_switch": {
+        "snapshots.csv": "7a663900ef88798c3e231a01dde09b013bd561cc702809ff2a2fe2e63865d67b",
+        "summary.json": "373161013e76cb6cf8db94c20a8cb6869403a3cb9e49aadd531603c9fdf4a847",
     },
     "ensemble:telegraph": {
         "snapshots.csv": "fdb27e3b382bf8d269be844cd8bac0a8ea69fc3cf05bd0831c737a40205f382c",
@@ -127,6 +143,11 @@ GOLDEN = {
     "evolve:gene_expression": {
         "density.csv": "616ce4d74678c56257f992a9f00f9f90ff19044fb98ad1142fcac4df160e8ee8",
         "summary.json": "3b412156e006c8e06cc71494c58410005af4196825a55dd9a441d57c7418e595",
+    },
+    "recorded:gene_expression": {
+        "snapshots.csv": "78ac7af59839ef6d17005b75a9756c658f304006158c00a7b1f68e627e7c49f2",
+        "summary.json": "7c66273238f3e986635574f7f89de534865eba9b9d56d478183d8454658b3a2c",
+        "trajectories.csv": "e7bbd3dafd1b8f330c22843cc58483dcc65227d8c6732565b263767c1a4f0d16",
     },
     "evolve:telegraph": {
         "density.csv": "8f2fe611a21a313ac0efc048cd56495bb9596483ece12a9bc9871c6bb528fe69",

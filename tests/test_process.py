@@ -23,6 +23,7 @@ from pdmpkit import (
     Regime,
     dkw_epsilon,
     flow_evolve,
+    iter_events,
     ks_statistic,
     make_gene_expression,
     make_grasshopper,
@@ -34,7 +35,7 @@ from pdmpkit import (
     simulate_trajectory,
 )
 from pdmpkit import GeneExpressionParams, TwoPhaseCellCycleParams
-from pdmpkit.errors import InvalidParam, JumpBudgetExceeded
+from pdmpkit.errors import InvalidParam, JumpBudgetExceeded, NonFinite
 from pdmpkit.process import snapshots_to_csv, trajectories_to_csv
 
 TOL_FLOW = 1e-10
@@ -53,6 +54,15 @@ def two_hazard_model(lam1=1.0, lam2=3.0):
         HazardChannel(Hazard.constant(lam2), k2, "cause2"),
     ))
     return PdmpModel("two_causes", (regime,))
+
+
+def ticking_model():
+    """Two regimes that hand over to each other one time unit after entry."""
+    regimes = tuple(
+        Regime(i, frozen_flow(), clocks=(DeterministicClock(
+            FixedDelay(1.0), JumpKernel(lambda x, r, rng: (x + 1.0, 1 - r))),))
+        for i in (0, 1))
+    return PdmpModel("ticker", regimes)
 
 
 class TestNextEvent:
@@ -174,6 +184,21 @@ class TestTrajectories:
             simulate_trajectory(model, [0.0], 0, 10.0, path_rng(21, 0),
                                 jump_budget=100)
 
+    def test_jump_budget_is_exact(self):
+        # events at t = 1, 2, 3, 4 before the horizon: a budget of 4 suffices
+        traj = simulate_trajectory(ticking_model(), [0.0], 0, 4.5, path_rng(21, 0),
+                                   jump_budget=4)
+        assert [j.t for j in traj.jumps] == [1.0, 2.0, 3.0, 4.0]
+        assert traj.state_at(4.5)[0][0] == 4.0
+
+    def test_jump_budget_stops_before_the_extra_event(self):
+        seen = []
+        with pytest.raises(JumpBudgetExceeded):
+            for t_jump, _, _ in iter_events(ticking_model(), [0.0], 0, path_rng(21, 0),
+                                            4.5, jump_budget=3):
+                seen.append(t_jump)
+        assert seen == [1.0, 2.0, 3.0]
+
     def test_strictly_increasing_jump_times(self):
         model = make_telegraph(3.0, 1.0)
         traj = simulate_trajectory(model, [0.0, 1.0], 0, 30.0, path_rng(22, 0))
@@ -217,6 +242,70 @@ class TestEnsemble:
         ens = simulate_ensemble(model, init, 10.0, 4, seed=9, jump_budget=20)
         assert len(ens.errors) == 4
         assert np.all(np.isnan(ens.final_states))
+
+
+class TestStateConversion:
+    """Canonical 1-D float64 states skip numpy's conversion calls; every other
+    form of state, kernel result or closed-form result is converted."""
+
+    @staticmethod
+    def drift_model(closed_form, kernel):
+        flow = Flow(dim=1, rhs=lambda x: np.ones(1), closed_form=closed_form)
+        return PdmpModel("drift", (Regime(0, flow, hazards=(
+            HazardChannel(Hazard.constant(2.0), JumpKernel(kernel), "kick"),)),))
+
+    @staticmethod
+    def assert_same_event(ev, ref):
+        assert (ev.dt, ev.kind, ev.regime_post) == (ref.dt, ref.kind, ref.regime_post)
+        for got, want in ((ev.state_pre, ref.state_pre), (ev.state_post, ref.state_post)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x0", [[0.25, 1], np.array([0, 1]),
+                                    np.array([0.25, 1.0], dtype=np.float32)],
+                             ids=["list", "int_array", "float32"])
+    def test_state_forms_give_the_same_events(self, x0):
+        model = make_telegraph(1.0, 1.0)
+        ref_x0 = np.asarray(x0, dtype=float)
+        ev = next_event(model, x0, 0, path_rng(31, 0), t_max=50.0)
+        ref = next_event(model, ref_x0, 0, path_rng(31, 0), t_max=50.0)
+        self.assert_same_event(ev, ref)
+        flow = model.regimes[0].flow
+        assert np.array_equal(flow_evolve(flow, x0, 0.7), flow_evolve(flow, ref_x0, 0.7))
+        got = [j.t for j in simulate_trajectory(model, x0, 0, 20.0, path_rng(32, 0)).jumps]
+        assert got == [j.t for j in simulate_trajectory(model, ref_x0, 0, 20.0,
+                                                        path_rng(32, 0)).jumps]
+
+    @pytest.mark.parametrize("closed_form, kernel", [
+        (lambda t, x: [x[0] + t], lambda x, r, rng: (x + 1.0, 0)),
+        (lambda t, x: x + t, lambda x, r, rng: ([x[0] + 1.0], 0)),
+        (lambda t, x: x + t, lambda x, r, rng: ((x[0] + 1.0,), 0)),
+        (lambda t, x: x + t, lambda x, r, rng: (np.array(x[0] + 1.0), 0)),
+        (lambda t, x: x + t, lambda x, r, rng: (x[0] + 1.0, 0)),
+    ], ids=["closed_form_list", "kernel_list", "kernel_tuple", "kernel_0d", "kernel_scalar"])
+    def test_result_forms_give_the_same_events(self, closed_form, kernel):
+        ref_model = self.drift_model(lambda t, x: x + t, lambda x, r, rng: (x + 1.0, 0))
+        model = self.drift_model(closed_form, kernel)
+        for seed in range(3):
+            ref = next_event(ref_model, np.array([0.5]), 0, path_rng(seed, 0), t_max=50.0)
+            ev = next_event(model, np.array([0.5]), 0, path_rng(seed, 0), t_max=50.0)
+            self.assert_same_event(ev, ref)
+
+    @pytest.mark.parametrize("closed_form", [lambda t, x: np.array([np.nan]),
+                                             lambda t, x: [math.nan]],
+                             ids=["array", "list"])
+    def test_non_finite_closed_form_raises(self, closed_form):
+        model = self.drift_model(closed_form, lambda x, r, rng: (x + 1.0, 0))
+        with pytest.raises(NonFinite, match="closed-form"):
+            next_event(model, np.array([0.5]), 0, path_rng(33, 0), t_max=50.0)
+
+    @pytest.mark.parametrize("kernel", [lambda x, r, rng: (x + np.inf, 0),
+                                        lambda x, r, rng: ([math.inf], 0)],
+                             ids=["array", "list"])
+    def test_non_finite_kernel_raises(self, kernel):
+        model = self.drift_model(lambda t, x: x + t, kernel)
+        with pytest.raises(NonFinite, match="jump kernel"):
+            next_event(model, np.array([0.5]), 0, path_rng(34, 0), t_max=50.0)
 
 
 class TestExport:

@@ -1,5 +1,6 @@
 """Grid solvers: conservation, positivity, convergence, and cross-validation."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from pdmpkit import (
     steady_state,
     two_phase_density,
 )
+from pdmpkit.cli import run
 from pdmpkit.errors import (
     CflViolation,
     DtMisaligned,
@@ -219,6 +221,20 @@ class TestTwoPhase:
             solver.step(dens)
             assert abs(dens.mass_drift()) < 1e-10
         assert dens.f_a.min() >= 0.0 and dens.f_b.min() >= 0.0
+
+    def test_steady_checks_at_whole_steps(self, tmp_path):
+        # 1.0 is not a multiple of dt = 0.0375: checks fall every 27 steps
+        model = {"name": "cell_cycle_2p", "g": "x", "phi": "0.9 * x", "t_B": 0.3}
+        evolve = {"grid": {"n": 16, "x_max": 8.0}, "dt": 0.0375, "t_end": 3.0, "n_y": 8}
+        run("evolve", {"model": model, "evolve": evolve}, tmp_path / "plain")
+        run("evolve", {"model": model, "evolve": {**evolve, "steady": {"t_max": 3.0}}},
+            tmp_path / "steady")
+        summary = json.loads((tmp_path / "steady" / "summary.json").read_text())
+        assert summary["converged"] is False
+        assert summary["t_final"] == pytest.approx(3.0)
+        # not converged: the same 80 steps as the plain run
+        assert ((tmp_path / "steady" / "density.csv").read_bytes()
+                == (tmp_path / "plain" / "density.csv").read_bytes())
 
     def test_dt_must_divide_y_cell(self):
         grid = Grid1D(0.0, 4.0, 32, dyadic_aligned=True)
