@@ -71,7 +71,6 @@ from .stationary import (
     classify,
     gene_switching_system,
     hormander_check,
-    intensity_positivity_check,
     stationary_density,
     switching_system,
 )

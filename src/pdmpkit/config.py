@@ -61,8 +61,7 @@ _SECTION_KEYS = {
     "evolve": ({"t_end", "dt", "grid"}, {"n_y", "f0", "steady"}),
     "stationary": (set(), {"grid_n"}),
     "population": ({"horizon"}, {"snapshot_times"}),
-    "hormander": (set(), {"model_params", "points", "depth",
-                          "invariance_cases", "seed"}),
+    "hormander": (set(), {"model_params", "points", "invariance_cases", "seed"}),
 }
 
 _COMPARE_KEYS = {
@@ -85,7 +84,6 @@ _COMPARE_KEYS = {
                         "seed"},
 }
 
-_GRID_KEYS = {"n", "x_min", "x_max"}
 _F0_KEYS = {"kind", "center", "width", "regime"}
 _STEADY_KEYS = {"tol", "t_max"}
 _JUMP_KEYS = {"kind", "value", "sigma"}
@@ -154,11 +152,21 @@ def validate_config(cfg: dict) -> dict:
     if command == "evolve":
         _check_keys(cfg["evolve"]["grid"], {"n", "x_max"}, {"x_min"}, "evolve.grid")
         name = cfg["model"]["name"]
-        if "x_min" in cfg["evolve"]["grid"] and name in ("cell_cycle_1p", "cell_cycle_2p"):
+        cell_cycle = name in ("cell_cycle_1p", "cell_cycle_2p")
+        if "x_min" in cfg["evolve"]["grid"] and cell_cycle:
             raise ConfigError(f"evolve.grid.x_min is not allowed for {name}: its dyadic "
                               "grid starts at 0", key="evolve.grid.x_min")
+        if "n_y" in cfg["evolve"] and name != "cell_cycle_2p":
+            raise ConfigError(f"evolve.n_y is not allowed for {name}: only cell_cycle_2p "
+                              "has a phase-B age grid", key="evolve.n_y")
         if "f0" in cfg["evolve"]:
-            _check_keys(cfg["evolve"]["f0"], {"kind"}, _F0_KEYS - {"kind"}, "evolve.f0")
+            f0 = cfg["evolve"]["f0"]
+            _check_keys(f0, {"kind"}, _F0_KEYS - {"kind"}, "evolve.f0")
+            n_regimes = 1 if cell_cycle else 2
+            regime = f0.get("regime", 0)
+            if type(regime) is not int or not 0 <= regime < n_regimes:
+                raise ConfigError(f"evolve.f0.regime must be an integer in [0, {n_regimes}) "
+                                  f"for {name}", key="evolve.f0.regime")
         if "steady" in cfg["evolve"]:
             _check_keys(cfg["evolve"]["steady"], set(), _STEADY_KEYS, "evolve.steady")
     if command == "compare":

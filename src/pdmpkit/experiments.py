@@ -60,6 +60,13 @@ def _compiled_params(d: dict) -> dict:
             for k, v in d.items()}
 
 
+def _report(passes: dict, **fields) -> dict:
+    """An experiment report: its fields, each pass flag as a bool, and ``all_pass``."""
+    passes = {k: bool(v) for k, v in passes.items()}
+    return {"schema_version": 1, **fields, "passes": passes,
+            "all_pass": all(passes.values())}
+
+
 def dwell_time_ks(cfg: dict) -> dict:
     """Dwell-time law of one gene-expression regime versus its integrated hazard.
 
@@ -79,15 +86,8 @@ def dwell_time_ks(cfg: dict) -> dict:
     draws = np.array([sample_jump_time(regime.flow, hz, x0, rng) for _ in range(n)])
     ks = ks_statistic(draws, lambda ts: cumulative_hazard(regime.flow, hz, x0, ts).cdf())
     band = dkw_epsilon(n, alpha)
-    return {
-        "schema_version": 1,
-        "n_samples": n,
-        "ks_statistic": ks,
-        "ks_band": band,
-        "alpha": alpha,
-        "passes": {"ks": bool(ks < band)},
-        "all_pass": bool(ks < band),
-    }
+    return _report({"ks": ks < band}, n_samples=n, ks_statistic=ks, ks_band=band,
+                   alpha=alpha)
 
 
 def _gene_analytic_fstar(p: GeneExpressionParams):
@@ -131,19 +131,12 @@ def gene_stationarity(cfg: dict) -> dict:
 
     thr_mc = float(cfg.get("mc_threshold", 0.03))
     thr_pde = float(cfg.get("pde_threshold", 0.05))
-    passes = {"mc_l1": bool(l1_mc < thr_mc), "pde_l1": bool(l1_pde < thr_pde),
-              "pde_converged": bool(converged)}
-    return {
-        "schema_version": 1,
-        "n_occupation_samples": int(xs.size),
-        "l1_mc_vs_analytic": l1_mc,
-        "l1_pde_vs_analytic": l1_pde,
-        "pde_converged": bool(converged),
-        "pde_mass_drift": density.mass_drift(),
-        "thresholds": {"mc_l1": thr_mc, "pde_l1": thr_pde},
-        "passes": passes,
-        "all_pass": all(passes.values()),
-    }
+    passes = {"mc_l1": l1_mc < thr_mc, "pde_l1": l1_pde < thr_pde,
+              "pde_converged": converged}
+    return _report(passes, n_occupation_samples=int(xs.size), l1_mc_vs_analytic=l1_mc,
+                   l1_pde_vs_analytic=l1_pde, pde_converged=bool(converged),
+                   pde_mass_drift=density.mass_drift(),
+                   thresholds={"mc_l1": thr_mc, "pde_l1": thr_pde})
 
 
 def stability_alternative(cfg: dict) -> dict:
@@ -155,7 +148,7 @@ def stability_alternative(cfg: dict) -> dict:
     regime mix among the near-zero paths.
     """
     seed = int(cfg.get("seed", 512))
-    out: dict = {"schema_version": 1}
+    out: dict = {}
     passes: dict = {}
 
     ps = BirthSwitchParams(**_compiled_params(cfg["stable"]))
@@ -207,15 +200,13 @@ def stability_alternative(cfg: dict) -> dict:
     out["regime_freq_final"] = [float(v) for v in freq]
     out["regime_freq_target"] = [rep_w.p0, rep_w.p1]
     passes["sweep_mass"] = mass > thr_mass
-    passes["regime_freq"] = bool(
+    passes["regime_freq"] = (
         abs(freq[0] - rep_w.p0) < freq_tol and abs(freq[1] - rep_w.p1) < freq_tol
     )
 
     out["thresholds"] = {"l1": thr_l1, "sweep_mass": thr_mass,
                          "regime_freq_tol": freq_tol}
-    out["passes"] = passes
-    out["all_pass"] = all(passes.values())
-    return out
+    return _report(passes, **out)
 
 
 def two_phase_recursion(cfg: dict) -> dict:
@@ -261,14 +252,7 @@ def two_phase_recursion(cfg: dict) -> dict:
 
     ks = two_sample_ks(full, recursion)
     thr = float(cfg.get("ks_threshold", 0.01))
-    return {
-        "schema_version": 1,
-        "n_samples": n,
-        "ks_statistic": ks,
-        "threshold": thr,
-        "passes": {"ks": bool(ks < thr)},
-        "all_pass": bool(ks < thr),
-    }
+    return _report({"ks": ks < thr}, n_samples=n, ks_statistic=ks, threshold=thr)
 
 
 def mass_audit(cfg: dict) -> dict:
@@ -321,8 +305,7 @@ def mass_audit(cfg: dict) -> dict:
     for case in cases:
         case["ok"] = bool(abs(case["mass_drift"]) <= tol * 10.0)
         ok = ok and case["ok"]
-    return {"schema_version": 1, "cases": cases, "tolerance": tol,
-            "passes": {"mass": ok}, "all_pass": ok}
+    return _report({"mass": ok}, cases=cases, tolerance=tol)
 
 
 def upwind_convergence(cfg: dict) -> dict:
@@ -352,15 +335,8 @@ def upwind_convergence(cfg: dict) -> dict:
     ratio = errors[0] / errors[1]
     lo, hi = (float(v) for v in cfg.get("ratio_window", (1.5, 3.0)))
     ok = lo <= ratio <= hi
-    return {
-        "schema_version": 1,
-        "grids": ns,
-        "l1_errors": errors,
-        "ratio": ratio,
-        "ratio_window": [lo, hi],
-        "passes": {"ratio": bool(ok)},
-        "all_pass": bool(ok),
-    }
+    return _report({"ratio": ok}, grids=ns, l1_errors=errors, ratio=ratio,
+                   ratio_window=[lo, hi])
 
 
 def population_moments(cfg: dict) -> dict:
@@ -396,19 +372,9 @@ def population_moments(cfg: dict) -> dict:
     freq = extinct / n_runs
     thr_freq = float(cfg.get("extinction_threshold", 0.99))
 
-    passes = {"yule_mean": bool(z <= 3.0), "extinction": bool(freq > thr_freq)}
-    return {
-        "schema_version": 1,
-        "n_runs": n_runs,
-        "yule_mean": mean,
-        "yule_target": target,
-        "yule_stderr": stderr,
-        "yule_z": z,
-        "extinction_frequency": freq,
-        "extinction_threshold": thr_freq,
-        "passes": passes,
-        "all_pass": all(passes.values()),
-    }
+    return _report({"yule_mean": z <= 3.0, "extinction": freq > thr_freq},
+                   n_runs=n_runs, yule_mean=mean, yule_target=target, yule_stderr=stderr,
+                   yule_z=z, extinction_frequency=freq, extinction_threshold=thr_freq)
 
 
 def _random_poly_field(rng: np.random.Generator, d: int):
@@ -461,18 +427,11 @@ def hormander_suite(cfg: dict) -> dict:
         alt = hormander_check(fns2, x, depth=2, jacobians=jacs2).rank
         failures += int(alt != base)
 
-    passes = {"gene_span": bool(gene_ok), "duplicated_fails": bool(dup_fails),
+    passes = {"gene_span": gene_ok, "duplicated_fails": dup_fails,
               "invariance": failures == 0}
-    return {
-        "schema_version": 1,
-        "gene_points": points,
-        "gene_span_holds": bool(gene_ok),
-        "duplicated_fields_fail": bool(dup_fails),
-        "invariance_cases": n_cases,
-        "invariance_failures": failures,
-        "passes": passes,
-        "all_pass": all(passes.values()),
-    }
+    return _report(passes, gene_points=points, gene_span_holds=bool(gene_ok),
+                   duplicated_fields_fail=bool(dup_fails), invariance_cases=n_cases,
+                   invariance_failures=failures)
 
 
 COMPARE_MODES: dict = {

@@ -137,7 +137,7 @@ def _as_state(x0, dim: int) -> Array:
     return x
 
 
-def flow_evolve(flow: Flow, x0, t: float, rtol: float = TOL_FLOW, atol: float = ATOL_FLOW) -> Array:
+def flow_evolve(flow: Flow, x0, t: float) -> Array:
     """Return the flow position after time ``t >= 0`` starting from ``x0``."""
     if t < 0:
         raise InvalidParam("flow_evolve needs t >= 0")
@@ -162,8 +162,8 @@ def flow_evolve(flow: Flow, x0, t: float, rtol: float = TOL_FLOW, atol: float = 
         (0.0, t),
         x,
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=TOL_FLOW,
+        atol=ATOL_FLOW,
         events=events or None,
     )
     if events and sol.t_events[0].size:
@@ -181,8 +181,7 @@ def _augmented_rhs(flow: Flow, hz: Hazard):
     return rhs
 
 
-def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float],
-                      rtol: float = TOL_FLOW, atol: float = ATOL_FLOW) -> CumulativeHazard:
+def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> CumulativeHazard:
     """Integrate the hazard along the flow; one augmented-ODE solve, many read-outs."""
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0 or np.any(ts < 0):
@@ -206,8 +205,8 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float],
         (0.0, t_max),
         np.append(x, 0.0),
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=TOL_FLOW,
+        atol=ATOL_FLOW,
         dense_output=True,
         events=events or None,
     )
@@ -277,10 +276,6 @@ class _ChebPanel:
         self.dc = (self.half * (_DC_FROM_YS @ ys))[::-1].tolist()
         self.base = _horner(self.pc, -1.0)
         self.integral = _horner(self.pc, 1.0) - self.base
-
-    def cumulative(self, t: float) -> float:
-        u = (t - 0.5 * (self.a + self.b)) / self.half
-        return _horner(self.pc, u) - self.base
 
     def solve(self, need: float) -> float:
         """Time at which the panel cumulative reaches ``need`` (monotone Newton
@@ -353,8 +348,7 @@ def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: Array, xi: float, hori
     raise HorizonExceeded(horizon, acc)
 
 
-def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float,
-                      rtol: float, atol: float) -> float:
+def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float) -> float:
     """Invert the cumulative hazard by integrating the augmented ODE in chunks."""
     rhs = _augmented_rhs(flow, hz)
     x = x0.copy()
@@ -378,7 +372,7 @@ def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: flo
             events.append(_exit)
 
         sol = solve_ivp(rhs, (0.0, t_hi - t_lo), np.append(x, 0.0),
-                        method="RK45", rtol=rtol, atol=atol, events=events)
+                        method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, events=events)
         if not sol.success:
             raise NonFinite(f"hazard integration failed: {sol.message}")
         if sol.t_events[0].size:
@@ -393,8 +387,7 @@ def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: flo
 
 
 def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
-                     method: str = "auto", horizon: float = HORIZON_CAP,
-                     rtol: float = TOL_FLOW, atol: float = ATOL_FLOW) -> float:
+                     method: str = "auto", horizon: float = HORIZON_CAP) -> float:
     """Draw a jump time with law F(t) = 1 - exp(-int_0^t rate(x(s)) ds).
 
     ``method``: "inverse" integrates the cumulative hazard until it crosses an
@@ -435,7 +428,7 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
             if t + dt > horizon:
                 raise HorizonExceeded(horizon, float("nan"))
             t += dt
-            x_cur = flow_evolve(flow, x_cur, dt, rtol=rtol, atol=atol)
+            x_cur = flow_evolve(flow, x_cur, dt)
             r = hz.rate_at(x_cur)
             if r > ub * (1.0 + 1e-9):
                 raise InvalidParam(
@@ -447,13 +440,13 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
     if method == "inverse":
         if flow.closed_form is not None:
             return _inverse_time_closed_form(flow, hz, x, xi, horizon)
-        return _inverse_time_ode(flow, hz, x, xi, horizon, rtol, atol)
+        return _inverse_time_ode(flow, hz, x, xi, horizon)
 
     raise InvalidParam(f"unknown sampling method {method!r}")
 
 
-def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0, t_max: float,
-                      rtol: float = TOL_FLOW, atol: float = ATOL_FLOW) -> Optional[float]:
+def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
+                      t_max: float) -> Optional[float]:
     """First time in (0, t_max] at which ``event_fn`` changes sign along the flow.
 
     Returns None when no crossing occurs.  With a closed-form flow the event
@@ -491,7 +484,7 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0, t_max:
     _hit.terminal = True
     _hit.direction = 0
     sol = solve_ivp(lambda s, y: np.asarray(flow.rhs(y), dtype=float), (0.0, t_max), x,
-                    method="RK45", rtol=rtol, atol=atol, events=[_hit])
+                    method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, events=[_hit])
     if not sol.success:
         raise NonFinite(f"boundary detection failed: {sol.message}")
     if sol.t_events[0].size:
@@ -505,8 +498,11 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0, t_max:
 # ---------------------------------------------------------------------------
 
 
+_Q_TABLE_POINTS = 4097
+
+
 class QTransform:
-    """Cumulative phase-entry measure of a growth law, with numeric inverse."""
+    """Cumulative phase-entry measure of a growth law, with a tabulated inverse."""
 
     def __init__(self, g: Callable[[float], float], phi: Callable[[float], float]):
         self._g = g
@@ -530,31 +526,18 @@ class QTransform:
             )
         return float(val)
 
-    def inverse(self, y: float, hi: float = 1.0) -> float:
-        """Solve Q(x) = y by expanding-bracket monotone root-finding."""
-        if y < 0:
-            raise InvalidParam("QTransform.inverse needs y >= 0")
-        if y == 0:
-            return 0.0
-        for _ in range(200):
-            if self(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise DivergentIntegral("Q never reached the requested level; is phi/g integrable?")
-        return brentq(lambda x: self(x) - y, 0.0, hi, xtol=1e-12, rtol=1e-12)
-
-    def tabulated(self, x_max: float, n: int = 4097):
-        """Dense monotone table of Q on [0, x_max]; returns (Q, Q_inverse) callables.
+    def tabulated(self, x_max: float):
+        """Dense monotone table of Q on [0, x_max] at ``_Q_TABLE_POINTS`` points;
+        returns (Q, Q_inverse) callables.
 
         Much cheaper than per-call quadrature when the transform is evaluated
         many times (e.g. recursion sampling); interpolation error is far below
         statistical noise at the sample sizes used here.
         """
-        xs = np.linspace(0.0, x_max, n)
-        vals = np.empty(n)
+        xs = np.linspace(0.0, x_max, _Q_TABLE_POINTS)
+        vals = np.empty(_Q_TABLE_POINTS)
         vals[0] = 0.0
-        for i in range(1, n):
+        for i in range(1, _Q_TABLE_POINTS):
             piece, _ = quad(self._integrand, xs[i - 1], xs[i], limit=100)
             vals[i] = vals[i - 1] + piece
         if np.any(np.diff(vals) < 0):

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .csvout import F17, write_csv
 from .errors import EmptySample, GridMismatch, InvalidParam
 from .flows import flow_evolve
 from .process import PdmpModel, iter_events
@@ -27,10 +26,6 @@ class Histogram:
     n_samples: int
     out_of_range: int
     density: Array             # (n_regimes, n)
-
-    @property
-    def n_regimes(self) -> int:
-        return self.counts.shape[0]
 
 
 def empirical_density(samples, grid: Grid1D, regimes=None, n_regimes: int = 1) -> Histogram:
@@ -149,27 +144,28 @@ class SweepingReport:
 
 
 def sweeping_mass(snapshot_times: Sequence[float], states: Array, regimes: Array,
-                  eps: float, component: int = 0, n_regimes: int = 2) -> SweepingReport:
+                  eps: float) -> SweepingReport:
     """Fraction of paths at or below ``eps`` per snapshot, plus the regime mix
-    among those near-zero paths (the empirical counterpart of the limit law)."""
+    of the two regimes among those near-zero paths (the empirical counterpart
+    of the limit law); the first state component is the one compared."""
     if eps <= 0:
         raise InvalidParam("eps must be positive")
     states = np.asarray(states, dtype=float)
     regimes = np.asarray(regimes)
     n_times = states.shape[0]
-    xs = states[..., component]
+    xs = states[..., 0]
     mass_total = np.zeros(n_times)
-    mass_by_regime = np.zeros((n_times, n_regimes))
-    freq = np.full((n_times, n_regimes), np.nan)
+    mass_by_regime = np.zeros((n_times, 2))
+    freq = np.full((n_times, 2), np.nan)
     for i in range(n_times):
         ok = np.isfinite(xs[i])
         small = ok & (xs[i] <= eps)
         denom = max(int(ok.sum()), 1)
         mass_total[i] = small.sum() / denom
-        for r in range(n_regimes):
+        for r in range(2):
             mass_by_regime[i, r] = float(np.sum(small & (regimes[i] == r))) / denom
         if small.sum() > 0:
-            for r in range(n_regimes):
+            for r in range(2):
                 freq[i, r] = float(np.sum(small & (regimes[i] == r))) / small.sum()
     return SweepingReport(times=tuple(float(t) for t in snapshot_times), eps=eps,
                           mass_total=mass_total, mass_by_regime=mass_by_regime,
@@ -177,51 +173,31 @@ def sweeping_mass(snapshot_times: Sequence[float], states: Array, regimes: Array
 
 
 def occupation_samples(model: PdmpModel, x0, regime0: int, horizon: float,
-                       rng: np.random.Generator, *, delta: float,
-                       burn_in: Optional[float] = None, component: int = 0,
-                       mode: str = "fixed_delta") -> Tuple[Array, Array]:
+                       rng: np.random.Generator, *, delta: float) -> Tuple[Array, Array]:
     """Stationary-regime samples from one long path.
 
-    The first ``burn_in`` time units (default: half the horizon) are dropped;
-    afterwards the state is read off every ``delta`` time units
-    (``mode="fixed_delta"``, the default, which estimates the occupation
-    measure) or at post-jump states (``mode="jump_chain"``).
+    The first half of the horizon is dropped as burn-in; afterwards the first
+    state component is read off every ``delta`` time units, which estimates
+    the occupation measure.
     """
-    if burn_in is None:
-        burn_in = 0.5 * horizon
-    if mode not in ("fixed_delta", "jump_chain"):
-        raise InvalidParam(f"unknown sampling mode {mode!r}")
     xs: list = []
     regs: list = []
     t_seg = 0.0
     x_seg = np.atleast_1d(np.asarray(x0, dtype=float))
     reg = int(regime0)
-    t_s = burn_in
+    t_s = 0.5 * horizon
     for t_jump, reg_pre, ev in iter_events(model, x_seg, reg, rng, horizon):
-        if mode == "fixed_delta":
-            flow = model.regimes[reg_pre].flow
-            while t_s <= t_jump:
-                xs.append(float(flow_evolve(flow, x_seg, t_s - t_seg)[component]))
-                regs.append(reg_pre)
-                t_s += delta
-        elif t_jump >= burn_in:
-            xs.append(float(ev.state_post[component]))
-            regs.append(ev.regime_post)
-        t_seg, x_seg, reg = t_jump, ev.state_post, ev.regime_post
-    if mode == "fixed_delta":
-        flow = model.regimes[reg].flow
-        while t_s <= horizon:
-            xs.append(float(flow_evolve(flow, x_seg, t_s - t_seg)[component]))
-            regs.append(reg)
+        flow = model.regimes[reg_pre].flow
+        while t_s <= t_jump:
+            xs.append(float(flow_evolve(flow, x_seg, t_s - t_seg)[0]))
+            regs.append(reg_pre)
             t_s += delta
+        t_seg, x_seg, reg = t_jump, ev.state_post, ev.regime_post
+    flow = model.regimes[reg].flow
+    while t_s <= horizon:
+        xs.append(float(flow_evolve(flow, x_seg, t_s - t_seg)[0]))
+        regs.append(reg)
+        t_s += delta
     if not xs:
-        raise EmptySample("no occupation samples collected; lower burn_in or delta")
+        raise EmptySample("no occupation samples collected; lower delta")
     return np.asarray(xs), np.asarray(regs, dtype=np.int64)
-
-
-def histogram_to_csv(hist: Histogram, path) -> None:
-    """Histogram export: rows (cell_center, regime, density)."""
-    centers = hist.grid.centers
-    write_csv(path, ["cell_center", "regime", "density"],
-              ([F17(x), r, F17(v)] for r, vals in enumerate(hist.density)
-               for x, v in zip(centers, vals)))

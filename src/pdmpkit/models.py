@@ -23,7 +23,7 @@ from .errors import (
     PdmpError,
     PopulationBlowup,
 )
-from .flows import Flow, Hazard
+from .flows import ATOL_FLOW, TOL_FLOW, Flow, Hazard
 from .process import (
     BoundaryHit,
     DeterministicClock,
@@ -575,17 +575,27 @@ class PopulationResult:
     horizon: float
     max_hazard_drift: float = 0.0
 
-    def size_at(self, t: float) -> int:
-        i = self.snapshot_times.index(t)
-        return len(self.snapshots[i])
+
+_RECHECK_EVERY = 64    # frozen sizes: events between re-sums of the total hazard
+
+
+def _pick_index(weights, u: float) -> int:
+    """First index whose cumulative weight reaches ``u``; the last index when
+    roundoff leaves ``u`` above the running sum."""
+    acc = 0.0
+    i = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if u <= acc:
+            break
+    return i
 
 
 def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: RateLike,
                         initial_sizes: Sequence[float], horizon: float,
                         rng: np.random.Generator, *,
                         snapshot_times: Sequence[float] = (),
-                        max_cells: int = 1_000_000,
-                        recheck_every: int = 64) -> PopulationResult:
+                        max_cells: int = 1_000_000) -> PopulationResult:
     """Event-driven simulation of the dividing/dying cell population.
 
     All sizes grow together along x' = g(x) between events; the population
@@ -637,13 +647,7 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
                 t = horizon
                 break
             t = t_next
-            u = rng.uniform() * total
-            acc = 0.0
-            i = 0
-            for i in range(len(sizes)):
-                acc += wb[i] + wd[i]
-                if u <= acc:
-                    break
+            i = _pick_index((bi + di for bi, di in zip(wb, wd)), rng.uniform() * total)
             x = sizes[i]
             if rng.uniform() * (wb[i] + wd[i]) < wd[i]:
                 total -= wb[i] + wd[i]
@@ -662,7 +666,7 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
                 if len(sizes) > max_cells:
                     raise PopulationBlowup(f"population exceeded {max_cells} cells")
             n_events += 1
-            if n_events % recheck_every == 0:
+            if n_events % _RECHECK_EVERY == 0:
                 fresh = math.fsum(wb) + math.fsum(wd)
                 drift = abs(total - fresh) / max(1.0, abs(fresh))
                 max_drift = max(max_drift, drift)
@@ -696,7 +700,7 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
             _cross.direction = 1
 
             sol = solve_ivp(aug_rhs, (0.0, t_hi - t_seg), np.append(xs, 0.0),
-                            method="RK45", rtol=1e-10, atol=1e-12,
+                            method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW,
                             dense_output=True, events=[_cross])
             if not sol.success:
                 raise NonFinite(f"population flow integration failed: {sol.message}")
@@ -722,14 +726,7 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
             break
 
         weights = [sum(rates(x)) for x in xs]
-        total = math.fsum(weights)
-        u = rng.uniform() * total
-        acc_w = 0.0
-        i = 0
-        for i in range(len(xs)):
-            acc_w += weights[i]
-            if u <= acc_w:
-                break
+        i = _pick_index(weights, rng.uniform() * math.fsum(weights))
         x = float(xs[i])
         rb, rd = rates(x)
         sizes = [float(v) for v in xs]

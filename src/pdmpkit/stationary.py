@@ -22,6 +22,7 @@ from .flows import Flow
 Array = np.ndarray
 
 R0_TIE_TOL = 1e-9       # |r0| below this: report Inconclusive
+_RANK_TOL = 1e-7        # singular values above this times the largest count toward the rank
 _EPS_LADDER = tuple(10.0 ** (-k) for k in range(3, 9))   # 1e-3 .. 1e-8
 
 
@@ -38,7 +39,6 @@ class SwitchingSystem1D:
     q0: Callable[[float], float]
     q1: Callable[[float], float]
     a: float
-    x_ref: Optional[float] = None
     dg0_at_0: Optional[float] = None
     dg1_at_0: Optional[float] = None
     dg1_at_a: Optional[float] = None
@@ -46,10 +46,6 @@ class SwitchingSystem1D:
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidParam("domain end a must be positive")
-        if self.x_ref is None:
-            object.__setattr__(self, "x_ref", 0.5 * self.a)
-        if not 0.0 < self.x_ref < self.a:
-            raise InvalidParam("x_ref must lie in (0, a)")
         xs = self.a * np.linspace(1e-4, 1.0 - 1e-4, 41)
         if any(self.g0(x) >= 0 for x in xs):
             raise InvalidParam("g0 must be negative on (0, a)")
@@ -80,12 +76,12 @@ class StationaryDensity:
 
 
 def _exp_neg_R(sys: SwitchingSystem1D) -> Callable[[float], float]:
-    x_ref = sys.x_ref
+    x_mid = 0.5 * sys.a
 
     def e(x: float) -> float:
         if not 0.0 < x < sys.a:
             raise InvalidParam("stationary density is defined on (0, a)")
-        val, err = quad(sys.r, x_ref, x, limit=200, epsabs=1e-13, epsrel=1e-12)
+        val, err = quad(sys.r, x_mid, x, limit=200, epsabs=1e-13, epsrel=1e-12)
         return math.exp(-val)
 
     return e
@@ -94,7 +90,7 @@ def _exp_neg_R(sys: SwitchingSystem1D) -> Callable[[float], float]:
 def stationary_density(sys: SwitchingSystem1D) -> StationaryDensity:
     """Solve the stationary transport system in closed form.
 
-    With r = q0/g0 + q1/g1 and R its antiderivative from x_ref, the pair
+    With r = q0/g0 + q1/g1 and R its antiderivative from a/2, the pair
     fbar0 = -exp(-R)/g0, fbar1 = exp(-R)/g1 solves the stationary system; the
     semigroup has an invariant density exactly when alpha = int (fbar0+fbar1)
     is finite.  Integrability at 0 is decided on a shrinking-endpoint ladder
@@ -318,13 +314,13 @@ def _as_fields(fields: Sequence, jacobians: Optional[Sequence] = None) -> List[_
     return out
 
 
-def hormander_check(fields: Sequence, x, depth: int = 3, tol: float = 1e-7,
+def hormander_check(fields: Sequence, x, depth: int = 3,
                     jacobians: Optional[Sequence] = None) -> HormanderResult:
     """Do the flow differences and iterated Lie brackets span the state space at x?
 
     The candidate set is {g_i - g_1 : i > 1} together with brackets of the
     supplied fields nested up to ``depth`` levels, all evaluated at x.  Rank is
-    the number of singular values above ``tol`` times the largest one.
+    the number of singular values above ``_RANK_TOL`` times the largest one.
     """
     if depth < 0:
         raise InvalidParam("bracket depth must be >= 0")
@@ -347,28 +343,6 @@ def hormander_check(fields: Sequence, x, depth: int = 3, tol: float = 1e-7,
         return HormanderResult(False, 0, mat, np.array([]))
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(svals > _RANK_TOL * smax)) if smax > 0 else 0
     return HormanderResult(rank == d, rank, mat, svals)
 
-
-@dataclass(frozen=True)
-class PositivityReport:
-    holds: bool
-    min_value: float
-    argmin: Array
-
-
-def intensity_positivity_check(q_fields: Sequence[Callable], region_sampler,
-                               n_samples: int, rng: np.random.Generator) -> PositivityReport:
-    """Monte Carlo check that every supplied intensity is strictly positive."""
-    if n_samples < 1:
-        raise InvalidParam("n_samples must be >= 1")
-    best = math.inf
-    arg = None
-    for _ in range(n_samples):
-        x = np.atleast_1d(np.asarray(region_sampler(rng), dtype=float))
-        for q in q_fields:
-            v = float(q(x if x.size > 1 else float(x[0])))
-            if v < best:
-                best, arg = v, x.copy()
-    return PositivityReport(holds=best > 0.0, min_value=best, argmin=arg)

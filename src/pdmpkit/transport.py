@@ -110,7 +110,7 @@ class DensityGrid:
                            self.initial_mass, self.outflow)
 
 
-def density_from(grid: Grid1D, f0s, time: float = 0.0) -> DensityGrid:
+def density_from(grid: Grid1D, f0s) -> DensityGrid:
     """Build a DensityGrid from arrays or callables, one per regime."""
     if callable(f0s):
         f0s = [f0s]
@@ -119,7 +119,7 @@ def density_from(grid: Grid1D, f0s, time: float = 0.0) -> DensityGrid:
     elif isinstance(f0s, (list, tuple)) and f0s and isinstance(f0s[0], (int, float)):
         f0s = [np.asarray(f0s, dtype=float)]
     vals = np.stack([_values_on(grid, f) for f in f0s])
-    return DensityGrid(grid, vals, time=time)
+    return DensityGrid(grid, vals)
 
 
 def _audit(density, kind: str) -> None:
@@ -430,21 +430,21 @@ def _l1_weights(density) -> list:
     return [h, h * density.dy, h]      # f_a, f_b, staging
 
 
-def steady_state(solver, density, tol: float, t_max: float,
-                 check_dt: float = 1.0):
+def steady_state(solver, density, tol: float, t_max: float):
     """Advance until the L1 change per unit time drops below tol, or t_max.
 
     Returns (density, converged).  Works for any solver exposing
-    ``advance(density, duration)``.  A :class:`TwoPhaseSolver` advances by
-    whole steps only, so it is checked every whole number of steps nearest
-    ``check_dt`` (at least one).
+    ``advance(density, duration)``; the change is checked once per unit of
+    time.  A :class:`TwoPhaseSolver` advances by whole steps only, so it is
+    checked every whole number of steps nearest one unit (at least one).
     """
+    every = 1.0
     if isinstance(solver, TwoPhaseSolver):
-        check_dt = max(1, round(check_dt / solver.dt)) * solver.dt
+        every = max(1, round(1.0 / solver.dt)) * solver.dt
     t = 0.0
     weights = _l1_weights(density)
     while t < t_max - 1e-12:
-        span = min(check_dt, t_max - t)
+        span = min(every, t_max - t)
         prev = [b.copy() for b in _value_blocks(density)]
         solver.advance(density, span)
         t += span

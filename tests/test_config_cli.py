@@ -112,18 +112,43 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
-    @pytest.mark.parametrize("name, extra", [("cell_cycle_1p", {}),
-                                             ("cell_cycle_2p", {"t_B": 0.5})])
-    def test_cell_cycle_evolve_rejects_x_min(self, name, extra):
+    @pytest.mark.parametrize("name, extra, bad, key", [
+        ("cell_cycle_1p", {}, {"grid": {"n": 16, "x_min": 2.0, "x_max": 8.0}},
+         "evolve.grid.x_min"),
+        ("cell_cycle_2p", {"t_B": 0.5}, {"grid": {"n": 16, "x_min": 2.0, "x_max": 8.0}},
+         "evolve.grid.x_min"),
+        # only the two-phase model has an age grid to size
+        ("cell_cycle_1p", {}, {"n_y": 8}, "evolve.n_y"),
+    ])
+    def test_cell_cycle_evolve_rejects_x_min(self, name, extra, bad, key):
         cfg = {"command": "evolve",
                "model": {"name": name, "g": "x", "phi": "x", **extra},
-               "evolve": {"grid": {"n": 16, "x_min": 2.0, "x_max": 8.0},
-                          "dt": 0.03125, "t_end": 0.5}}
-        with pytest.raises(ConfigError, match="x_min") as err:
-            validate_config(cfg)
-        assert err.value.key == "evolve.grid.x_min"
-        del cfg["evolve"]["grid"]["x_min"]
+               "evolve": {"grid": {"n": 16, "x_max": 8.0}, "dt": 0.03125, "t_end": 0.5}}
         validate_config(cfg)
+        with pytest.raises(ConfigError, match=key.rsplit(".", 1)[-1]) as err:
+            validate_config({**cfg, "evolve": {**cfg["evolve"], **bad}})
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("model, regime, ok", [
+        ({"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}, 1, True),
+        ({"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}, 5, False),
+        ({"name": "telegraph", "lam": 1.0, "c": 1.0}, -1, False),
+        ({"name": "telegraph", "lam": 1.0, "c": 1.0}, 1.0, False),
+        ({"name": "cell_cycle_1p", "g": "x", "phi": "x"}, 0, True),
+        ({"name": "cell_cycle_1p", "g": "x", "phi": "x"}, 1, False),
+        ({"name": "cell_cycle_2p", "g": "x", "phi": "x", "t_B": 0.5}, 1, False),
+    ])
+    def test_evolve_f0_regime_range(self, model, regime, ok):
+        # an out-of-range regime used to evolve an all-zero density silently
+        cfg = {"command": "evolve", "model": model,
+               "evolve": {"grid": {"n": 16, "x_max": 8.0}, "dt": 0.03125, "t_end": 0.5,
+                          "f0": {"kind": "gaussian", "center": 1.0, "regime": regime}}}
+        if ok:
+            validate_config(cfg)
+            return
+        with pytest.raises(ConfigError, match="regime") as err:
+            validate_config(cfg)
+        assert err.value.key == "evolve.f0.regime"
 
     def test_compare_mode_keys(self):
         cfg = {"command": "compare",

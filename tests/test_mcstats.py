@@ -16,7 +16,7 @@ from pdmpkit import (
     sweeping_mass,
     two_sample_ks,
 )
-from pdmpkit.errors import EmptySample, GridMismatch, InvalidParam
+from pdmpkit.errors import EmptySample, GridMismatch
 
 
 class TestHistogram:
@@ -177,43 +177,11 @@ class TestSweepingMass:
         assert rep.mass_total[-1] < 0.1
 
 
-class TestExport:
-    def test_histogram_csv_columns(self, tmp_path):
-        import csv
-
-        from pdmpkit.mcstats import histogram_to_csv
-
-        grid = Grid1D(0.0, 1.0, 8)
-        rng = np.random.default_rng(11)
-        hist = empirical_density(rng.uniform(size=200), grid,
-                                 regimes=rng.integers(0, 2, size=200), n_regimes=2)
-        path = tmp_path / "hist.csv"
-        histogram_to_csv(hist, path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["cell_center", "regime", "density"]
-        assert len(rows) - 1 == 2 * grid.n
-
-
 class TestOccupation:
     def test_fixed_delta_counts(self):
         model = pk.make_telegraph(1.0, 1.0)
         xs, regs = occupation_samples(model, [0.0, 1.0], 0, 100.0,
                                       pk.path_rng(70, 0), delta=1.0)
-        # default burn-in is half the horizon
+        # burn-in is half the horizon
         assert xs.size == 51
         assert set(np.unique(regs)) == {0}
-
-    def test_jump_chain_mode(self):
-        model = pk.make_telegraph(2.0, 1.0)
-        xs, regs = occupation_samples(model, [0.0, 1.0], 0, 200.0,
-                                      pk.path_rng(70, 1), delta=1.0,
-                                      mode="jump_chain", burn_in=0.0)
-        traj = pk.simulate_trajectory(model, [0.0, 1.0], 0, 200.0,
-                                      pk.path_rng(70, 1))
-        assert xs.size == len(traj.jumps)
-
-    def test_unknown_mode(self):
-        model = pk.make_telegraph(1.0, 1.0)
-        with pytest.raises(InvalidParam):
-            occupation_samples(model, [0.0, 1.0], 0, 10.0, pk.path_rng(70, 2),
-                               delta=1.0, mode="bogus")

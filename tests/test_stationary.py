@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-import pdmpkit as pk
 from pdmpkit import (
     BirthSwitchParams,
     GeneExpressionParams,
@@ -17,7 +16,6 @@ from pdmpkit import (
     classify,
     gene_switching_system,
     hormander_check,
-    intensity_positivity_check,
     stationary_density,
 )
 from pdmpkit.errors import DerivativeDegenerate, InvalidParam
@@ -33,7 +31,7 @@ def gene_like_system():
 class TestStationaryDensity:
     def test_gene_closed_form_pair(self):
         # hand integration of r = -1/x + 1/(1-x) gives exp(-R) = 4x(1-x) from
-        # x_ref = 1/2, hence fbar0 = 4(1-x), fbar1 = 4x, alpha = 4 and the
+        # a/2 = 1/2, hence fbar0 = 4(1-x), fbar1 = 4x, alpha = 4 and the
         # normalized pair (1-x, x)
         dens = stationary_density(gene_like_system())
         assert dens.alpha == pytest.approx(4.0, abs=1e-8)
@@ -46,7 +44,7 @@ class TestStationaryDensity:
             assert dens.f0(x) + dens.f1(x) == pytest.approx(1.0, abs=1e-8)
 
     def test_birth_switch_stable_closed_form(self):
-        # partial fractions give exp(-R) = 4 x(1-x)/(x+1/2)^2 from x_ref=1/2,
+        # partial fractions give exp(-R) = 4 x(1-x)/(x+1/2)^2 from a/2 = 1/2,
         # so fbar0 = 4(1-x)/(x+1/2)^3, fbar1 = 4/(x+1/2)^2, alpha = 32/3
         p = BirthSwitchParams(b0=0.5, b1=2.0, c=1.0, mu=1.0, q0=1.0, q1=1.0)
         dens = stationary_density(birth_switch_system(p))
@@ -217,27 +215,3 @@ class TestHormander:
             jacs2 = [(lambda x, j=jacs[i], s=s: s * j(x)) for i in perm]
             assert hormander_check(fns2, x, depth=2, jacobians=jacs2).rank == base
 
-
-class TestPositivity:
-    def test_constant_intensity(self):
-        rep = intensity_positivity_check(
-            [lambda x: 1.0], lambda rng: rng.uniform(0.0, 1.0), 200,
-            pk.path_rng(60, 0))
-        assert rep.holds and rep.min_value == pytest.approx(1.0)
-
-    def test_boundary_zero_detected(self):
-        away = intensity_positivity_check(
-            [lambda x: float(x)], lambda rng: rng.uniform(0.5, 1.0), 200,
-            pk.path_rng(60, 1))
-        assert away.holds
-        touching = intensity_positivity_check(
-            [lambda x: float(x)], lambda rng: 0.0, 3, pk.path_rng(60, 2))
-        assert not touching.holds and touching.min_value == 0.0
-
-    def test_gene_intensities_positive_on_attractor(self):
-        p = GeneExpressionParams(P=1.0, mu=1.0, q0=1.0, q1=1.0)
-        fields = p.fields()
-        rep = intensity_positivity_check(
-            [fields.q0, fields.q1],
-            lambda rng: rng.uniform(0.0, 1.0), 300, pk.path_rng(60, 3))
-        assert rep.holds
