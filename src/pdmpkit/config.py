@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-import yaml
-
 from .errors import ConfigError
 from .exprs import compile_expr, rate_from_config
 from .models import (
@@ -90,6 +88,8 @@ _JUMP_KEYS = {"kind", "value", "sigma"}
 
 
 def load_config(path) -> dict:
+    import yaml
+
     with open(path) as fh:
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
@@ -98,6 +98,8 @@ def load_config(path) -> dict:
 
 
 def dump_config(cfg: dict, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=False)
 
@@ -111,6 +113,13 @@ def _check_keys(section: dict, required: set, optional: set, where: str) -> None
     for key in required:
         if key not in section:
             raise ConfigError(f"missing key {key!r} in {where}", key=f"{where}.{key}")
+
+
+def _check_regime(section: dict, n_regimes: int, key: str, model: str) -> None:
+    regime = section.get("regime", 0)
+    if type(regime) is not int or not 0 <= regime < n_regimes:
+        raise ConfigError(f"{key} must be an integer in [0, {n_regimes}) for {model}",
+                          key=key)
 
 
 def validate_config(cfg: dict) -> dict:
@@ -162,11 +171,11 @@ def validate_config(cfg: dict) -> dict:
         if "f0" in cfg["evolve"]:
             f0 = cfg["evolve"]["f0"]
             _check_keys(f0, {"kind"}, _F0_KEYS - {"kind"}, "evolve.f0")
-            n_regimes = 1 if cell_cycle else 2
-            regime = f0.get("regime", 0)
-            if type(regime) is not int or not 0 <= regime < n_regimes:
-                raise ConfigError(f"evolve.f0.regime must be an integer in [0, {n_regimes}) "
-                                  f"for {name}", key="evolve.f0.regime")
+            unused = sorted(f0.keys() - {"kind"})
+            if f0["kind"] == "uniform" and unused:
+                raise ConfigError(f"evolve.f0.{unused[0]} is not used by a uniform f0",
+                                  key=f"evolve.f0.{unused[0]}")
+            _check_regime(f0, 1 if cell_cycle else 2, "evolve.f0.regime", name)
         if "steady" in cfg["evolve"]:
             _check_keys(cfg["evolve"]["steady"], set(), _STEADY_KEYS, "evolve.steady")
     if command == "compare":
@@ -177,6 +186,8 @@ def validate_config(cfg: dict) -> dict:
         if mode not in _COMPARE_KEYS:
             raise ConfigError(f"unknown compare mode {mode!r}", key="compare.mode")
         _check_keys(section, {"mode"}, _COMPARE_KEYS[mode] - {"mode"}, f"compare[{mode}]")
+        if mode == "dwell_ks":
+            _check_regime(section, 2, "compare.regime", "gene_expression")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be a 64-bit integer", key="seed")
     return cfg

@@ -13,8 +13,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     DivergentIntegral,
@@ -24,6 +22,7 @@ from .errors import (
     MissingBound,
     NonFinite,
 )
+from .lazy import PchipInterpolator, brentq, quad, solve_ivp
 
 Array = np.ndarray
 
@@ -542,8 +541,6 @@ class QTransform:
             vals[i] = vals[i - 1] + piece
         if np.any(np.diff(vals) < 0):
             raise InvalidParam("Q must be nondecreasing; got a decreasing table")
-        from scipy.interpolate import PchipInterpolator
-
         q_fn = PchipInterpolator(xs, vals, extrapolate=False)
         # strictly increase for the inverse table; ties only where phi == 0
         keep = np.concatenate(([True], np.diff(vals) > 0))

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     InvalidParam,
@@ -24,6 +22,7 @@ from .errors import (
     PopulationBlowup,
 )
 from .flows import ATOL_FLOW, TOL_FLOW, Flow, Hazard
+from .lazy import brentq, quad, solve_ivp
 from .process import (
     BoundaryHit,
     DeterministicClock,

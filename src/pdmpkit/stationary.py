@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DerivativeDegenerate,
@@ -18,6 +17,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .flows import Flow
+from .lazy import quad
 
 Array = np.ndarray
 

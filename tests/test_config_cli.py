@@ -150,6 +150,35 @@ class TestConfigValidation:
             validate_config(cfg)
         assert err.value.key == "evolve.f0.regime"
 
+    @pytest.mark.parametrize("key, value", [("center", 0.9), ("width", 0.01), ("regime", 1)])
+    def test_uniform_f0_rejects_unused_keys(self, key, value):
+        # a uniform f0 reads none of these; they used to be accepted and ignored
+        cfg = {"command": "evolve",
+               "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0},
+               "evolve": {"grid": {"n": 16, "x_max": 1.0}, "dt": 0.02, "t_end": 0.1,
+                          "f0": {"kind": "uniform"}}}
+        validate_config(cfg)
+        bad = {**cfg, "evolve": {**cfg["evolve"], "f0": {"kind": "uniform", key: value}}}
+        with pytest.raises(ConfigError, match=key) as err:
+            validate_config(bad)
+        assert err.value.key == f"evolve.f0.{key}"
+
+    @pytest.mark.parametrize("regime, ok", [
+        (0, True), (1, True), (-1, False), (2, False), (5, False), (True, False),
+    ])
+    def test_compare_regime_range(self, regime, ok, tmp_path):
+        # -1 used to run regime 1 and 5 raised a bare IndexError
+        cfg = {"command": "compare",
+               "compare": {"mode": "dwell_ks", "regime": regime, "n": 20,
+                           "model_params": {"P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}}}
+        if ok:
+            validate_config(cfg)
+            return
+        with pytest.raises(ConfigError, match="regime") as err:
+            run("compare", cfg, tmp_path)
+        assert err.value.key == "compare.regime"
+        assert not any(tmp_path.iterdir())
+
     def test_compare_mode_keys(self):
         cfg = {"command": "compare",
                "compare": {"mode": "dwell_ks", "n": 10, "bad_key": 1}}

@@ -1,9 +1,12 @@
 """Byte-level regression guard: SHA-256 of every artifact of a fixed set of runs.
 
 The digests pin five fast shipped configs plus one tiny ``evolve`` run per
-grid-solver model and three ``simulate`` runs: unrecorded telegraph and
-logistic birth_switch ensembles (constant-rate route) and a recorded
-gene_expression run with a state-dependent rate (thinning route).  They were recorded on
+grid-solver model and seven ``simulate`` runs: unrecorded telegraph and
+logistic birth_switch ensembles (constant-rate route) and recorded runs of
+gene_expression with a state-dependent rate (thinning route), rubinow with and
+without a closed-form flow (bracketed root-finding and ODE event boundary
+hits), allee (RK45 flow) and cell_cycle_1p without a closed form (augmented-ODE
+inverse of the cumulative hazard).  They were recorded on
 x86-64 Linux with numpy 2.4.6 and scipy 1.17.1; another numpy/scipy build may
 round differently in the last bit, which changes the 17-digit CSV text.  To
 see the digests of the current code run ``python tests/test_golden.py``.
@@ -65,11 +68,39 @@ SIMULATE = {
                   "q0": 1.0, "q1": 1.0},
         "simulate": {"x0": [0.3], "regime0": 0, "horizon": 20.0, "n_paths": 4,
                      "snapshot_times": [5.0, 20.0], "record_trajectories": False}},
+    "recorded:allee": {
+        "snapshots.csv": "9ed0370b957e07bf31a240fcb53701f3bb1258f6bd5c207ada9629212d4e7c79",
+        "summary.json": "587390bea8d4d459fcb147bac8907834295c35600a848dd5c02f7b42af44f0a4",
+        "trajectories.csv": "308a9f63706e774f8b035948d115d1f3573b3d006b142a9bca9d392d63f31c94",
+    },
+    "recorded:cell_cycle_1p_ode": {
+        "snapshots.csv": "63d8b0461cca3056a895f5e4e7085655fd68f58ab6e6153248ce3879fa650788",
+        "summary.json": "695a102ef37fe996e9bfbf7a9a64f95c8ef8491d2c96d96b84aefaf8e0c03811",
+        "trajectories.csv": "098789ede10e481276b0c16e1e63af0dd2e3161bd980858b361b71a803602b13",
+    },
     "recorded:gene_expression": {
         "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": "1 + x",
                   "q1": 1.0},
         "simulate": {"x0": [0.5], "regime0": 0, "horizon": 20.0, "n_paths": 2,
                      "snapshot_times": [5.0, 20.0]}},
+    "recorded:rubinow_closed": {
+        "model": {"name": "rubinow", "g": "0.9 * x", "m": 1.0,
+                  "g_closed_form": "x0 * exp(0.9 * t)"},
+        "simulate": {"x0": [1.0], "regime0": 0, "horizon": 5.0, "n_paths": 2,
+                     "snapshot_times": [1.0, 5.0]}},
+    "recorded:rubinow_ode": {
+        "model": {"name": "rubinow", "g": "0.9 * x", "m": 1.0},
+        "simulate": {"x0": [1.0], "regime0": 0, "horizon": 2.0, "n_paths": 1,
+                     "snapshot_times": [1.0, 2.0]}},
+    "recorded:allee": {
+        "model": {"name": "allee", "lam": 1.0, "K": 10.0, "A": 2.0, "B": 1.0,
+                  "q01": 1.0, "q10": 1.0},
+        "simulate": {"x0": [4.0], "regime0": 0, "horizon": 6.0, "n_paths": 2,
+                     "snapshot_times": [1.0, 6.0]}},
+    "recorded:cell_cycle_1p_ode": {
+        "model": {"name": "cell_cycle_1p", "g": "x", "phi": "x"},
+        "simulate": {"x0": [1.0], "regime0": 0, "horizon": 2.0, "n_paths": 1,
+                     "snapshot_times": [1.0, 2.0]}},
 }
 
 
@@ -144,10 +175,30 @@ GOLDEN = {
         "density.csv": "616ce4d74678c56257f992a9f00f9f90ff19044fb98ad1142fcac4df160e8ee8",
         "summary.json": "3b412156e006c8e06cc71494c58410005af4196825a55dd9a441d57c7418e595",
     },
+    "recorded:allee": {
+        "snapshots.csv": "9ed0370b957e07bf31a240fcb53701f3bb1258f6bd5c207ada9629212d4e7c79",
+        "summary.json": "587390bea8d4d459fcb147bac8907834295c35600a848dd5c02f7b42af44f0a4",
+        "trajectories.csv": "308a9f63706e774f8b035948d115d1f3573b3d006b142a9bca9d392d63f31c94",
+    },
+    "recorded:cell_cycle_1p_ode": {
+        "snapshots.csv": "63d8b0461cca3056a895f5e4e7085655fd68f58ab6e6153248ce3879fa650788",
+        "summary.json": "695a102ef37fe996e9bfbf7a9a64f95c8ef8491d2c96d96b84aefaf8e0c03811",
+        "trajectories.csv": "098789ede10e481276b0c16e1e63af0dd2e3161bd980858b361b71a803602b13",
+    },
     "recorded:gene_expression": {
         "snapshots.csv": "78ac7af59839ef6d17005b75a9756c658f304006158c00a7b1f68e627e7c49f2",
         "summary.json": "7c66273238f3e986635574f7f89de534865eba9b9d56d478183d8454658b3a2c",
         "trajectories.csv": "e7bbd3dafd1b8f330c22843cc58483dcc65227d8c6732565b263767c1a4f0d16",
+    },
+    "recorded:rubinow_closed": {
+        "snapshots.csv": "8ec2754652e3bb25b04f10773daafafa869a4cfa7ebbbf0373398eb2c21a56ce",
+        "summary.json": "c20f7b40bb19d83e43d33d810df37526b92260d9eed049fbedcd2d07e688bbc0",
+        "trajectories.csv": "0af9c45d988a9c5c2ee5509c50f4b97daec0453af734879fb0caf821124220e4",
+    },
+    "recorded:rubinow_ode": {
+        "snapshots.csv": "bc7c5bd4d00f78a6492606ec32c408bf6df841d6bf0bcff95cdb4dbabe5339aa",
+        "summary.json": "cf366d7037599866d55813671622629288f019093fecd85502c68cc8906ab10c",
+        "trajectories.csv": "f2b625298f656837c76a422505718a61d53e8872d59c1f9d4fd1a5b90919aee4",
     },
     "evolve:telegraph": {
         "density.csv": "8f2fe611a21a313ac0efc048cd56495bb9596483ece12a9bc9871c6bb528fe69",
