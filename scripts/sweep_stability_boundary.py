@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pdmpkit import BirthSwitchParams, birth_switch_system, classify
+from pdmpkit import BirthSwitchParams, classify
 
 
 def main() -> int:
@@ -35,7 +35,7 @@ def main() -> int:
             for b1 in b1s:
                 p = BirthSwitchParams(b0=float(b0), b1=float(b1), c=1.0,
                                       mu=1.0, q0=1.0, q1=1.0)
-                rep = classify(birth_switch_system(p))
+                rep = classify(p.fields())
                 writer.writerow([f"{b0:.17g}", f"{b1:.17g}", f"{rep.r0:.17g}",
                                  f"{rep.lambda_mean:.17g}", rep.verdict,
                                  f"{rep.divergence_exponent:.17g}"])

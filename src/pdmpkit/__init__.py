@@ -66,13 +66,12 @@ from .process import (
 from .stationary import (
     ClassificationReport,
     StationaryDensity,
-    SwitchingSystem1D,
     birth_switch_system,
     classify,
+    classify_density,
     gene_switching_system,
     hormander_check,
     stationary_density,
-    switching_system,
 )
 from .transport import (
     CellCycleSolver,

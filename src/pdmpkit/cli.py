@@ -34,7 +34,7 @@ from .process import (
     trajectories_to_csv,
     trajectory_snapshots_to_csv,
 )
-from .stationary import classify, stationary_density, switching_system
+from .stationary import classify, classify_density, stationary_density
 from .transport import (
     CellCycleSolver,
     Grid1D,
@@ -98,13 +98,12 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> list:
 
 
 def cmd_stationary(cfg: dict, out: Path) -> list:
-    sys1 = switching_system(model_view(cfg["model"]))
-    report = classify(sys1)
-    dens = stationary_density(sys1)
+    dens = stationary_density(model_view(cfg["model"]))
+    report = classify_density(dens)
     artifacts = []
     if dens.is_integrable:
         n = int(cfg.get("stationary", {}).get("grid_n", 256))
-        grid = Grid1D(0.0, sys1.a, n)
+        grid = Grid1D(0.0, dens.fields.a, n)
         path = out / "fstar.csv"
         write_csv(path, ["cell_center", "regime", "density"],
                   ([F17(x), r, F17(f(x))] for r, f in enumerate((dens.f0, dens.f1))
@@ -117,7 +116,7 @@ def cmd_stationary(cfg: dict, out: Path) -> list:
 
 
 def cmd_classify(cfg: dict, out: Path) -> list:
-    report = classify(switching_system(model_view(cfg["model"])))
+    report = classify(model_view(cfg["model"]))
     path = out / "report.json"
     _write_json(report.to_dict(), path)
     return [str(path)]

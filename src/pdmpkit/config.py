@@ -91,7 +91,10 @@ def load_config(path) -> dict:
     import yaml
 
     with open(path) as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must contain a mapping at top level")
     return cfg

@@ -9,15 +9,6 @@ class InvalidParam(PdmpError):
     """A model or solver parameter violates one of its stated constraints."""
 
 
-class DomainExit(PdmpError):
-    """A trajectory left its declared domain before the requested time."""
-
-    def __init__(self, exit_time, state, message=None):
-        super().__init__(message or f"trajectory left the domain at t={exit_time:.6g}")
-        self.exit_time = exit_time
-        self.state = state
-
-
 class NonFinite(PdmpError):
     """An integration or function evaluation produced non-finite values."""
 

@@ -33,13 +33,7 @@ from .models import (
     simulate_population,
 )
 from .process import next_event, path_rng, simulate_ensemble
-from .stationary import (
-    birth_switch_system,
-    classify,
-    gene_switching_system,
-    hormander_check,
-    stationary_density,
-)
+from .stationary import classify, classify_density, hormander_check, stationary_density
 from .transport import (
     CellCycleSolver,
     Grid1D,
@@ -91,7 +85,7 @@ def dwell_time_ks(cfg: dict) -> dict:
 
 
 def _gene_analytic_fstar(p: GeneExpressionParams):
-    dens = stationary_density(gene_switching_system(p))
+    dens = stationary_density(p.fields())
     if not dens.is_integrable:
         raise InvalidParam("gene-expression stationary density is not integrable")
     return dens
@@ -152,12 +146,12 @@ def stability_alternative(cfg: dict) -> dict:
     passes: dict = {}
 
     ps = BirthSwitchParams(**_compiled_params(cfg["stable"]))
-    rep_s = classify(birth_switch_system(ps))
+    dens = stationary_density(ps.fields())
+    rep_s = classify_density(dens)
     out["stable_report"] = rep_s.to_dict()
     passes["stable_verdict"] = rep_s.verdict == "Stable"
 
     model_s = make_birth_switch(ps)
-    dens = stationary_density(birth_switch_system(ps))
     horizon = float(cfg.get("stable_horizon", 2e5))
     xs, regs = occupation_samples(model_s, [0.5 * ps.attractor_end], 0, horizon,
                                   path_rng(seed, 0), delta=float(cfg.get("delta", 0.5)))
@@ -170,7 +164,7 @@ def stability_alternative(cfg: dict) -> dict:
     passes["stable_l1"] = l1 < thr_l1
 
     pw = BirthSwitchParams(**_compiled_params(cfg["sweeping"]))
-    rep_w = classify(birth_switch_system(pw))
+    rep_w = classify(pw.fields())
     out["sweeping_report"] = rep_w.to_dict()
     passes["sweeping_verdict"] = rep_w.verdict == "Sweeping"
 

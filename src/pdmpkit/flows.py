@@ -16,7 +16,6 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (
     DivergentIntegral,
-    DomainExit,
     HorizonExceeded,
     InvalidParam,
     MissingBound,
@@ -40,15 +39,12 @@ class Flow:
     exact solution used instead of numerical integration wherever available;
     return a 1-D float64 ndarray of length ``dim``, or pay a conversion per call.
     ``jacobian(x)`` (d x d) is only needed for Lie-bracket computations.
-    ``domain(x)``, when given, must be positive inside the admissible region;
-    the ODE path raises :class:`DomainExit` when it crosses zero.
     """
 
     dim: int
     rhs: Callable[[Array], Array]
     closed_form: Optional[Callable[[float, Array], Array]] = None
     jacobian: Optional[Callable[[Array], Array]] = None
-    domain: Optional[Callable[[Array], float]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -149,13 +145,6 @@ def flow_evolve(flow: Flow, x0, t: float) -> Array:
             raise NonFinite(f"closed-form flow produced non-finite state at t={t:.6g}")
         return out
 
-    events = []
-    if flow.domain is not None:
-        def _exit(s, y):
-            return flow.domain(y)
-        _exit.terminal = True
-        _exit.direction = -1
-        events.append(_exit)
     sol = solve_ivp(
         lambda s, y: np.asarray(flow.rhs(y), dtype=float),
         (0.0, t),
@@ -163,10 +152,7 @@ def flow_evolve(flow: Flow, x0, t: float) -> Array:
         method="RK45",
         rtol=TOL_FLOW,
         atol=ATOL_FLOW,
-        events=events or None,
     )
-    if events and sol.t_events[0].size:
-        raise DomainExit(float(sol.t_events[0][0]), sol.y_events[0][0].copy())
     if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
         raise NonFinite(f"flow integration failed: {sol.message}")
     return sol.y[:, -1].copy()
@@ -192,13 +178,6 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> Cumula
     if t_max == 0.0:
         return CumulativeHazard(ts=ts, values=np.zeros_like(ts))
 
-    events = []
-    if flow.domain is not None:
-        def _exit(s, y):
-            return flow.domain(y[:-1])
-        _exit.terminal = True
-        _exit.direction = -1
-        events.append(_exit)
     sol = solve_ivp(
         _augmented_rhs(flow, hz),
         (0.0, t_max),
@@ -207,10 +186,7 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> Cumula
         rtol=TOL_FLOW,
         atol=ATOL_FLOW,
         dense_output=True,
-        events=events or None,
     )
-    if events and sol.t_events[0].size:
-        raise DomainExit(float(sol.t_events[0][0]), sol.y_events[0][0][:-1].copy())
     if not sol.success:
         raise NonFinite(f"hazard integration failed: {sol.message}")
     values = sol.sol(ts)[-1]
@@ -362,22 +338,12 @@ def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: flo
         _cross.terminal = True
         _cross.direction = 1
 
-        events = [_cross]
-        if flow.domain is not None:
-            def _exit(s, y):
-                return flow.domain(y[:-1])
-            _exit.terminal = True
-            _exit.direction = -1
-            events.append(_exit)
-
         sol = solve_ivp(rhs, (0.0, t_hi - t_lo), np.append(x, 0.0),
-                        method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, events=events)
+                        method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, events=[_cross])
         if not sol.success:
             raise NonFinite(f"hazard integration failed: {sol.message}")
         if sol.t_events[0].size:
             return t_lo + float(sol.t_events[0][0])
-        if flow.domain is not None and sol.t_events[1].size:
-            raise DomainExit(t_lo + float(sol.t_events[1][0]), sol.y_events[1][0][:-1].copy())
         x = sol.y[:-1, -1].copy()
         acc += float(sol.y[-1, -1])
         t_lo = t_hi

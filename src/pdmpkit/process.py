@@ -252,6 +252,8 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
     one event more than ``jump_budget`` before the horizon raises instead."""
     if horizon <= 0:
         raise InvalidParam("horizon must be positive")
+    if jump_budget < 0:
+        raise InvalidParam("jump_budget must be >= 0")
     t = 0.0
     x = as_vector(x0)
     reg = int(regime0)

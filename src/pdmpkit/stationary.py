@@ -18,6 +18,7 @@ from .errors import (
 )
 from .flows import Flow
 from .lazy import quad
+from .models import SwitchingFields
 
 Array = np.ndarray
 
@@ -27,42 +28,10 @@ _EPS_LADDER = tuple(10.0 ** (-k) for k in range(3, 9))   # 1e-3 .. 1e-8
 
 
 @dataclass(frozen=True)
-class SwitchingSystem1D:
-    """Two-regime switching system on (0, a) with g0 < 0 < g1 in the interior.
-
-    Optional analytic derivatives at the endpoints feed the r0 classification
-    route; when absent they are taken by central finite differences.
-    """
-
-    g0: Callable[[float], float]
-    g1: Callable[[float], float]
-    q0: Callable[[float], float]
-    q1: Callable[[float], float]
-    a: float
-    dg0_at_0: Optional[float] = None
-    dg1_at_0: Optional[float] = None
-    dg1_at_a: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidParam("domain end a must be positive")
-        xs = self.a * np.linspace(1e-4, 1.0 - 1e-4, 41)
-        if any(self.g0(x) >= 0 for x in xs):
-            raise InvalidParam("g0 must be negative on (0, a)")
-        if any(self.g1(x) <= 0 for x in xs):
-            raise InvalidParam("g1 must be positive on (0, a)")
-        if any(self.q0(x) <= 0 or self.q1(x) <= 0 for x in xs):
-            raise InvalidParam("switching intensities must be positive on (0, a)")
-
-    def r(self, x: float) -> float:
-        return self.q0(x) / self.g0(x) + self.q1(x) / self.g1(x)
-
-
-@dataclass(frozen=True)
 class StationaryDensity:
     """Unnormalized pair (fbar0, fbar1), the mass alpha, and the normalized pair."""
 
-    system: SwitchingSystem1D
+    fields: SwitchingFields
     alpha: float                       # +inf when not integrable
     divergence_exponent: float         # tail integral over (eps, ~) scales like eps^(-exponent)
     fbar0: Callable[[float], float]
@@ -75,48 +44,66 @@ class StationaryDensity:
         return math.isfinite(self.alpha)
 
 
-def _exp_neg_R(sys: SwitchingSystem1D) -> Callable[[float], float]:
-    x_mid = 0.5 * sys.a
+def _exp_neg_R(fields: SwitchingFields) -> Callable[[float], float]:
+    g0, g1, q0, q1, a = fields.g0, fields.g1, fields.q0, fields.q1, fields.a
+    x_mid = 0.5 * a
+
+    def r(x: float) -> float:
+        return q0(x) / g0(x) + q1(x) / g1(x)
 
     def e(x: float) -> float:
-        if not 0.0 < x < sys.a:
+        if not 0.0 < x < a:
             raise InvalidParam("stationary density is defined on (0, a)")
-        val, err = quad(sys.r, x_mid, x, limit=200, epsabs=1e-13, epsrel=1e-12)
+        val, err = quad(r, x_mid, x, limit=200, epsabs=1e-13, epsrel=1e-12)
         return math.exp(-val)
 
     return e
 
 
-def stationary_density(sys: SwitchingSystem1D) -> StationaryDensity:
-    """Solve the stationary transport system in closed form.
+def stationary_density(fields: SwitchingFields) -> StationaryDensity:
+    """Solve the stationary transport system of a two-regime model on (0, a).
 
-    With r = q0/g0 + q1/g1 and R its antiderivative from a/2, the pair
-    fbar0 = -exp(-R)/g0, fbar1 = exp(-R)/g1 solves the stationary system; the
-    semigroup has an invariant density exactly when alpha = int (fbar0+fbar1)
-    is finite.  Integrability at 0 is decided on a shrinking-endpoint ladder
-    whose piece growth also estimates the divergence exponent.
+    The model must have g0 < 0 < g1 and positive switching intensities in the
+    interior (:class:`InvalidParam` otherwise).  With r = q0/g0 + q1/g1 and R
+    its antiderivative from a/2, the pair fbar0 = -exp(-R)/g0,
+    fbar1 = exp(-R)/g1 solves the stationary system; the semigroup has an
+    invariant density exactly when alpha = int (fbar0+fbar1) is finite.
+    Integrability at 0 is decided on a shrinking-endpoint ladder whose piece
+    growth also estimates the divergence exponent.
     """
-    e_neg_r = _exp_neg_R(sys)
+    a, g0, g1 = fields.a, fields.g0, fields.g1
+    if a is None:
+        raise InvalidParam("the model has no invariant interval (0, a)")
+    if not a > 0:
+        raise InvalidParam("domain end a must be positive")
+    xs = a * np.linspace(1e-4, 1.0 - 1e-4, 41)
+    if any(g0(x) >= 0 for x in xs):
+        raise InvalidParam("g0 must be negative on (0, a)")
+    if any(g1(x) <= 0 for x in xs):
+        raise InvalidParam("g1 must be positive on (0, a)")
+    if any(fields.q0(x) <= 0 or fields.q1(x) <= 0 for x in xs):
+        raise InvalidParam("switching intensities must be positive on (0, a)")
+    e_neg_r = _exp_neg_R(fields)
 
     def fbar0(x: float) -> float:
-        return -e_neg_r(x) / sys.g0(x)
+        return -e_neg_r(x) / g0(x)
 
     def fbar1(x: float) -> float:
-        return e_neg_r(x) / sys.g1(x)
+        return e_neg_r(x) / g1(x)
 
     def fsum(x: float) -> float:
         return fbar0(x) + fbar1(x)
 
     pieces = []
     for hi, lo in zip(_EPS_LADDER[:-1], _EPS_LADDER[1:]):
-        val, err = quad(fsum, lo * sys.a, hi * sys.a, limit=200)
+        val, err = quad(fsum, lo * a, hi * a, limit=200)
         if not math.isfinite(val):
             raise QuadratureFailure("stationary density quadrature produced non-finite pieces")
         pieces.append(max(val, 1e-300))
     # the deepest decade carries the smallest regular-part correction, so its
     # ratio is the sharpest exponent estimate; the fit is kept as a diagnostic
     exponent = float(np.log10(pieces[-1] / pieces[-2]))
-    eps_mid = np.sqrt(np.array(_EPS_LADDER[:-1]) * np.array(_EPS_LADDER[1:])) * sys.a
+    eps_mid = np.sqrt(np.array(_EPS_LADDER[:-1]) * np.array(_EPS_LADDER[1:])) * a
     fit_slope = np.polyfit(np.log10(eps_mid), np.log10(pieces), 1)[0]
     if not math.isfinite(exponent):
         exponent = -float(fit_slope)
@@ -124,7 +111,7 @@ def stationary_density(sys: SwitchingSystem1D) -> StationaryDensity:
     if exponent <= -1e-3:
         # integrable at 0: direct quadrature over the whole interval
         with np.errstate(all="ignore"):
-            val, err, info, *msg = quad(fsum, 0.0, sys.a, limit=400, full_output=True)
+            val, err, info, *msg = quad(fsum, 0.0, a, limit=400, full_output=True)
         if msg or not math.isfinite(val) or err > max(1e-8, 1e-6 * abs(val)):
             raise QuadratureFailure(
                 f"quadrature of fbar over (0, a) failed (err {err:.2g})",
@@ -138,7 +125,7 @@ def stationary_density(sys: SwitchingSystem1D) -> StationaryDensity:
         alpha = math.inf
         f0 = f1 = None
 
-    return StationaryDensity(system=sys, alpha=alpha, divergence_exponent=exponent,
+    return StationaryDensity(fields=fields, alpha=alpha, divergence_exponent=exponent,
                              fbar0=fbar0, fbar1=fbar1, f0=f0, f1=f1)
 
 
@@ -172,7 +159,12 @@ def _derivative(fn: Callable[[float], float], x: float) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def classify(sys: SwitchingSystem1D) -> ClassificationReport:
+def _slope(fn, dfn, x: float) -> float:
+    """fn'(x): the known derivative where the model has one, else a central difference."""
+    return dfn(x) if dfn is not None else _derivative(fn, x)
+
+
+def classify_density(dens: StationaryDensity) -> ClassificationReport:
     """Stable / Sweeping verdict from alpha-integrability, cross-checked by r0.
 
     When both fields vanish at 0 (extinction-type system), the constant
@@ -181,8 +173,8 @@ def classify(sys: SwitchingSystem1D) -> ClassificationReport:
     |r0| below tolerance reports Inconclusive.  Systems whose active field
     does not vanish at 0 are classified from alpha alone (r0 reported NaN).
     """
-    dens = stationary_density(sys)
-    q00, q10 = sys.q0(0.0), sys.q1(0.0)
+    f = dens.fields
+    q00, q10 = f.q0(0.0), f.q1(0.0)
     if q00 <= 0 or q10 <= 0:
         raise InvalidParam("switching intensities must stay positive at 0")
     p0 = q10 / (q00 + q10)
@@ -191,12 +183,12 @@ def classify(sys: SwitchingSystem1D) -> ClassificationReport:
     r0 = math.nan
     lambda_mean = math.nan
 
-    scale = 1e-12 * (1.0 + abs(sys.g0(0.5 * sys.a)) + abs(sys.g1(0.5 * sys.a)))
-    vanishing = abs(sys.g0(0.0)) <= scale and abs(sys.g1(0.0)) <= scale
+    scale = 1e-12 * (1.0 + abs(f.g0(0.5 * f.a)) + abs(f.g1(0.5 * f.a)))
+    vanishing = abs(f.g0(0.0)) <= scale and abs(f.g1(0.0)) <= scale
     if vanishing:
-        dg0 = sys.dg0_at_0 if sys.dg0_at_0 is not None else _derivative(sys.g0, 0.0)
-        dg1 = sys.dg1_at_0 if sys.dg1_at_0 is not None else _derivative(sys.g1, 0.0)
-        dg1a = sys.dg1_at_a if sys.dg1_at_a is not None else _derivative(sys.g1, sys.a)
+        dg0 = _slope(f.g0, f.dg0, 0.0)
+        dg1 = _slope(f.g1, f.dg1, 0.0)
+        dg1a = _slope(f.g1, f.dg1, f.a)
         for name, val in (("g0'(0)", dg0), ("g1'(0)", dg1), ("g1'(a)", dg1a)):
             if abs(val) < 1e-9:
                 raise DerivativeDegenerate(f"{name} vanishes within tolerance")
@@ -223,29 +215,19 @@ def classify(sys: SwitchingSystem1D) -> ClassificationReport:
                                 divergence_exponent=dens.divergence_exponent)
 
 
-# ---------------------------------------------------------------------------
-# helpers to view catalog models as switching systems
-# ---------------------------------------------------------------------------
+def classify(fields: SwitchingFields) -> ClassificationReport:
+    """Long-time verdict of a two-regime model; see :func:`classify_density`."""
+    return classify_density(stationary_density(fields))
 
 
-def switching_system(fields) -> SwitchingSystem1D:
-    """A catalog model's :class:`~pdmpkit.models.SwitchingFields` as a system on (0, a)."""
-    if fields.a is None:
-        raise InvalidParam("the model has no invariant interval (0, a)")
-    at = lambda dg, x: None if dg is None else dg(x)
-    return SwitchingSystem1D(g0=fields.g0, g1=fields.g1, q0=fields.q0, q1=fields.q1,
-                             a=fields.a, dg0_at_0=at(fields.dg0, 0.0),
-                             dg1_at_0=at(fields.dg1, 0.0), dg1_at_a=at(fields.dg1, fields.a))
-
-
-def gene_switching_system(params) -> SwitchingSystem1D:
+def gene_switching_system(params) -> SwitchingFields:
     """Gene-expression model as a switching system on (0, P/mu)."""
-    return switching_system(params.fields())
+    return params.fields()
 
 
-def birth_switch_system(params) -> SwitchingSystem1D:
+def birth_switch_system(params) -> SwitchingFields:
     """Birth-switch model as a switching system on (0, (b1-mu)/c)."""
-    return switching_system(params.fields())
+    return params.fields()
 
 
 # ---------------------------------------------------------------------------

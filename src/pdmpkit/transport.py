@@ -173,7 +173,7 @@ class _FixedStepSolver:
     """Advance by whole steps of ``self.dt`` plus one shorter remainder step."""
 
     def advance(self, density: DensityGrid, duration: float) -> DensityGrid:
-        if self.dt <= 0 or duration < 0:
+        if not (self.dt > 0 and duration >= 0):     # NaN fails too
             raise InvalidParam("need dt > 0 and t_end >= 0")
         n_full = int(math.floor(duration / self.dt + 1e-9))
         rem = duration - n_full * self.dt
@@ -367,6 +367,8 @@ class TwoPhaseSolver:
             raise GridNotDyadic("two-phase solver needs a dyadic-aligned x grid")
         if n_y < 1 or t_B <= 0:
             raise InvalidParam("need n_y >= 1 and t_B > 0")
+        if not dt > 0:
+            raise InvalidParam("need dt > 0")
         dy = t_B / n_y
         k = dy / dt
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
@@ -410,6 +412,8 @@ class TwoPhaseSolver:
         _audit(density, "two_phase")
 
     def advance(self, density: TwoPhaseDensity, duration: float) -> TwoPhaseDensity:
+        if not duration >= 0:
+            raise InvalidParam("need dt > 0 and t_end >= 0")
         n_steps = int(round(duration / self.dt))
         if abs(n_steps * self.dt - duration) > 1e-9 * max(1.0, duration):
             raise DtMisaligned("advance duration must be a multiple of dt")

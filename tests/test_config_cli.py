@@ -326,6 +326,15 @@ class TestCli:
         assert err["kind"] == "ConfigError"
         assert "oops" in err["key"]
 
+    def test_yaml_syntax_error_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("command: classify\nmodel: {name: birth_switch, b0: 0.5\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["kind"] == "ConfigError"
+        assert "not valid YAML" in err["message"]
+
     def test_model_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("command: classify\nmodel: {name: birth_switch, b0: 2.0,"

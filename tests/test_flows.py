@@ -24,7 +24,6 @@ from pdmpkit import (
 )
 from pdmpkit.errors import (
     DivergentIntegral,
-    DomainExit,
     HorizonExceeded,
     InvalidParam,
     MissingBound,
@@ -77,13 +76,6 @@ class TestFlowEvolve:
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidParam):
             flow_evolve(gene_inactive_flow(), [1.0], -0.1)
-
-    def test_domain_exit(self):
-        flow = Flow(dim=1, rhs=lambda x: np.ones(1), domain=lambda x: 1.0 - x[0])
-        with pytest.raises(DomainExit) as err:
-            flow_evolve(flow, [0.5], 1.0)
-        assert err.value.exit_time == pytest.approx(0.5, abs=1e-8)
-        assert err.value.state[0] == pytest.approx(1.0, abs=1e-8)
 
     @settings(max_examples=25, deadline=None)
     @given(x0=st.floats(0.05, 0.95), s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))

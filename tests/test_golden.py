@@ -6,7 +6,9 @@ logistic birth_switch ensembles (constant-rate route) and recorded runs of
 gene_expression with a state-dependent rate (thinning route), rubinow with and
 without a closed-form flow (bracketed root-finding and ODE event boundary
 hits), allee (RK45 flow) and cell_cycle_1p without a closed form (augmented-ODE
-inverse of the cumulative hazard).  They were recorded on
+inverse of the cumulative hazard).  Two birth_switch analysis runs pin the
+``stationary`` command on a stable set (the r0 route, which writes
+``fstar.csv``) and ``classify`` on a sweeping set.  They were recorded on
 x86-64 Linux with numpy 2.4.6 and scipy 1.17.1; another numpy/scipy build may
 round differently in the last bit, which changes the 17-digit CSV text.  To
 see the digests of the current code run ``python tests/test_golden.py``.
@@ -68,16 +70,6 @@ SIMULATE = {
                   "q0": 1.0, "q1": 1.0},
         "simulate": {"x0": [0.3], "regime0": 0, "horizon": 20.0, "n_paths": 4,
                      "snapshot_times": [5.0, 20.0], "record_trajectories": False}},
-    "recorded:allee": {
-        "snapshots.csv": "9ed0370b957e07bf31a240fcb53701f3bb1258f6bd5c207ada9629212d4e7c79",
-        "summary.json": "587390bea8d4d459fcb147bac8907834295c35600a848dd5c02f7b42af44f0a4",
-        "trajectories.csv": "308a9f63706e774f8b035948d115d1f3573b3d006b142a9bca9d392d63f31c94",
-    },
-    "recorded:cell_cycle_1p_ode": {
-        "snapshots.csv": "63d8b0461cca3056a895f5e4e7085655fd68f58ab6e6153248ce3879fa650788",
-        "summary.json": "695a102ef37fe996e9bfbf7a9a64f95c8ef8491d2c96d96b84aefaf8e0c03811",
-        "trajectories.csv": "098789ede10e481276b0c16e1e63af0dd2e3161bd980858b361b71a803602b13",
-    },
     "recorded:gene_expression": {
         "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": "1 + x",
                   "q1": 1.0},
@@ -104,6 +96,17 @@ SIMULATE = {
 }
 
 
+_BIRTH_SWITCH = {"name": "birth_switch", "c": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}
+
+ANALYSIS = {
+    "stationary:birth_switch_stable": {
+        "model": {**_BIRTH_SWITCH, "b0": 0.5, "b1": 2.0},
+        "stationary": {"grid_n": 64}},
+    "classify:birth_switch_sweeping": {
+        "model": {**_BIRTH_SWITCH, "b0": 0.2, "b1": 1.5}},
+}
+
+
 def _digests(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
@@ -118,18 +121,24 @@ def run_case(case: str, out: Path) -> dict:
     elif kind == "evolve":
         model, section = EVOLVE[name]
         run("evolve", {"model": model, "evolve": section, "seed": 1}, out)
+    elif case in ANALYSIS:
+        run(kind, ANALYSIS[case], out)
     else:
         run("simulate", {**SIMULATE[case], "seed": 3}, out)
     return _digests(out)
 
 
-CASES = [f"config:{n}" for n in SHIPPED] + [f"evolve:{n}" for n in EVOLVE] + list(SIMULATE)
+CASES = ([f"config:{n}" for n in SHIPPED] + [f"evolve:{n}" for n in EVOLVE] + list(SIMULATE)
+         + list(ANALYSIS))
 
 GOLDEN = {
     "config:accept09_reproducibility": {
         "snapshots.csv": "97689000b57c2ab435f827ecd83ae88ef9da84ea534cac669822a41ee9c7e6ae",
         "summary.json": "30cb3e7798800f53777c4032c554d8bbdfb8b18b3b512cf1780bce149d01dab0",
         "trajectories.csv": "27288499bd74663ec9e8f90f157ba2eb2fa415837aa455931ea773d2f04ae885",
+    },
+    "classify:birth_switch_sweeping": {
+        "report.json": "fb49d1ba1cf4d6135e7311f0ac266526f78c87185d61f9cd97fd08b456bff889",
     },
     "config:demo_classify_stable": {
         "report.json": "b64b6a4855fe42b73f34ef888eb6ae9d5400c87b657663a5dbcf3575b620185a",
@@ -203,6 +212,10 @@ GOLDEN = {
     "evolve:telegraph": {
         "density.csv": "8f2fe611a21a313ac0efc048cd56495bb9596483ece12a9bc9871c6bb528fe69",
         "summary.json": "448612d8207ea82f5bc7b30f44eba7cc68b932f8c5d830ff7b9409367bbc5866",
+    },
+    "stationary:birth_switch_stable": {
+        "fstar.csv": "5fefa9761ae866d7aced51f3334120e49eda22cec1531349b41dbef07f055bd5",
+        "report.json": "b64b6a4855fe42b73f34ef888eb6ae9d5400c87b657663a5dbcf3575b620185a",
     },
 }
 

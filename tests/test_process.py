@@ -191,6 +191,11 @@ class TestTrajectories:
         assert [j.t for j in traj.jumps] == [1.0, 2.0, 3.0, 4.0]
         assert traj.state_at(4.5)[0][0] == 4.0
 
+    def test_negative_jump_budget_rejected(self):
+        with pytest.raises(InvalidParam, match="jump_budget"):
+            simulate_trajectory(make_telegraph(1.0, 1.0), [0.0, 1.0], 0, 50.0,
+                                path_rng(21, 0), jump_budget=-1)
+
     def test_jump_budget_stops_before_the_extra_event(self):
         seen = []
         with pytest.raises(JumpBudgetExceeded):

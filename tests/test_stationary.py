@@ -11,9 +11,10 @@ from scipy.integrate import quad
 from pdmpkit import (
     BirthSwitchParams,
     GeneExpressionParams,
-    SwitchingSystem1D,
+    SwitchingFields,
     birth_switch_system,
     classify,
+    classify_density,
     gene_switching_system,
     hormander_check,
     stationary_density,
@@ -23,7 +24,7 @@ from pdmpkit.errors import DerivativeDegenerate, InvalidParam
 
 def gene_like_system():
     # g0 = -x, g1 = 1 - x on (0, 1) with unit switching intensities
-    return SwitchingSystem1D(
+    return SwitchingFields(
         g0=lambda x: -x, g1=lambda x: 1.0 - x,
         q0=lambda x: 1.0, q1=lambda x: 1.0, a=1.0)
 
@@ -88,12 +89,20 @@ class TestStationaryDensity:
         assert dens.divergence_exponent == pytest.approx(0.75, abs=0.05)
 
     def test_sign_structure_validated(self):
-        with pytest.raises(InvalidParam):
-            SwitchingSystem1D(g0=lambda x: x, g1=lambda x: 1 - x,
-                              q0=lambda x: 1.0, q1=lambda x: 1.0, a=1.0)
-        with pytest.raises(InvalidParam):
-            SwitchingSystem1D(g0=lambda x: -x, g1=lambda x: 1 - x,
-                              q0=lambda x: 0.0, q1=lambda x: 1.0, a=1.0)
+        with pytest.raises(InvalidParam, match="g0 must be negative"):
+            stationary_density(SwitchingFields(g0=lambda x: x, g1=lambda x: 1 - x,
+                                               q0=lambda x: 1.0, q1=lambda x: 1.0, a=1.0))
+        with pytest.raises(InvalidParam, match="switching intensities must be positive"):
+            stationary_density(SwitchingFields(g0=lambda x: -x, g1=lambda x: 1 - x,
+                                               q0=lambda x: 0.0, q1=lambda x: 1.0, a=1.0))
+
+    def test_interval_validated(self):
+        fields = dict(g0=lambda x: -x, g1=lambda x: 1 - x,
+                      q0=lambda x: 1.0, q1=lambda x: 1.0)
+        with pytest.raises(InvalidParam, match="no invariant interval"):
+            stationary_density(SwitchingFields(**fields))
+        with pytest.raises(InvalidParam, match="domain end a must be positive"):
+            stationary_density(SwitchingFields(**fields, a=0.0))
 
 
 class TestClassify:
@@ -144,11 +153,28 @@ class TestClassify:
             assert rep.divergence_exponent == pytest.approx(rep.r0, abs=5e-3)
 
     def test_degenerate_derivative_raises(self):
-        sys1 = SwitchingSystem1D(
+        fields = SwitchingFields(
             g0=lambda x: -x, g1=lambda x: x * (1.0 - x) ** 2,
             q0=lambda x: 1.0, q1=lambda x: 1.0, a=1.0)
         with pytest.raises(DerivativeDegenerate):
-            classify(sys1)
+            classify(fields)
+
+    def test_known_slopes_replace_finite_differences(self):
+        # g1 = x (1 - x)^2 has g1'(a) = 0, which the finite difference finds
+        # (test above); a given dg1 is read instead, at 0 and at a alike
+        fields = SwitchingFields(
+            g0=lambda x: -x, g1=lambda x: x * (1.0 - x) ** 2,
+            q0=lambda x: 1.0, q1=lambda x: 1.0, a=1.0,
+            dg0=lambda x: -1.0, dg1=lambda x: 2.0)
+        rep = classify(fields)
+        assert rep.r0 == 1.0 / -1.0 + 1.0 / 2.0
+        assert rep.lambda_mean == 0.5 * -1.0 + 0.5 * 2.0
+
+    def test_classify_is_classify_density_of_the_density(self):
+        fields = BirthSwitchParams(b0=0.5, b1=2.0, c=1.0, mu=1.0, q0=1.0, q1=1.0).fields()
+        dens = stationary_density(fields)
+        assert dens.fields is fields
+        assert classify_density(dens) == classify(fields)
 
     def test_report_serializes(self):
         p = BirthSwitchParams(b0=0.5, b1=2.0, c=1.0, mu=1.0, q0=1.0, q1=1.0)
@@ -156,6 +182,27 @@ class TestClassify:
         assert d["schema_version"] == 1
         assert set(d) >= {"r0", "lambda_mean", "alpha", "verdict", "p0", "p1",
                           "divergence_exponent"}
+
+
+class TestOneDensityPerCommand:
+    @pytest.mark.parametrize("command", ["stationary", "classify"])
+    def test_cli_builds_one_stationary_density(self, command, monkeypatch, tmp_path):
+        from pdmpkit import cli, stationary
+
+        calls = []
+        real = stationary.stationary_density
+
+        def counted(fields):
+            calls.append(fields)
+            return real(fields)
+
+        for module in (stationary, cli):
+            monkeypatch.setattr(module, "stationary_density", counted)
+        model = {"name": "birth_switch", "b0": 0.5, "b1": 2.0, "c": 1.0, "mu": 1.0,
+                 "q0": 1.0, "q1": 1.0}
+        cli.run(command, {"model": model, "stationary": {"grid_n": 8}}
+                if command == "stationary" else {"model": model}, tmp_path)
+        assert len(calls) == 1
 
 
 class TestHormander:

@@ -236,6 +236,21 @@ class TestTwoPhase:
         assert ((tmp_path / "steady" / "density.csv").read_bytes()
                 == (tmp_path / "plain" / "density.csv").read_bytes())
 
+    @pytest.mark.parametrize("dt", [0.0, -0.025])
+    def test_nonpositive_dt_rejected(self, dt):
+        grid = Grid1D(0.0, 4.0, 32, dyadic_aligned=True)
+        with pytest.raises(InvalidParam, match="need dt > 0"):
+            TwoPhaseSolver(grid, 10, 0.5, lambda x: 0.1, lambda x: 0.1, dt=dt)
+
+    @pytest.mark.parametrize("t_end", [-1.0, math.nan])
+    @pytest.mark.parametrize("model", [
+        {"name": "cell_cycle_1p", "g": "x", "phi": "0.9 * x"},
+        {"name": "cell_cycle_2p", "g": "x", "phi": "0.9 * x", "t_B": 0.5}])
+    def test_negative_duration_rejected(self, model, t_end, tmp_path):
+        evolve = {"grid": {"n": 16, "x_max": 8.0}, "dt": 0.015625, "t_end": t_end}
+        with pytest.raises(InvalidParam, match=r"need dt > 0 and t_end >= 0"):
+            run("evolve", {"model": model, "evolve": evolve}, tmp_path)
+
     def test_dt_must_divide_y_cell(self):
         grid = Grid1D(0.0, 4.0, 32, dyadic_aligned=True)
         with pytest.raises(DtMisaligned):
