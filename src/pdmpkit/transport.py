@@ -123,13 +123,13 @@ def density_from(grid: Grid1D, f0s) -> DensityGrid:
 
 
 def _audit(density, kind: str) -> None:
-    vmin = min(float(np.min(v)) for v in _value_blocks(density))
-    if vmin < -POSITIVITY_TOL:
-        raise MassAuditError(f"{kind}: negative density {vmin:.3e} appeared")
-    for v in _value_blocks(density):
+    for v in _value_blocks(density):    # each bound below fails on NaN too
+        vmin = float(np.min(v))
+        if not vmin >= -POSITIVITY_TOL:
+            raise MassAuditError(f"{kind}: negative or NaN density {vmin:.3e} appeared")
         np.maximum(v, 0.0, out=v)   # scrub roundoff-level negatives
     drift = density.mass_drift()
-    if abs(drift) > MASS_TOL * max(1.0, density.initial_mass):
+    if not abs(drift) <= MASS_TOL * max(1.0, density.initial_mass):
         raise MassAuditError(f"{kind}: mass drifted by {drift:.3e}")
 
 
@@ -139,34 +139,51 @@ def _value_blocks(density):
     return [density.f_a, density.f_b, density.staging]
 
 
-def _edge_speeds(grid: Grid1D, g: Callable[[float], float]) -> Array:
-    return np.array([float(g(x)) for x in grid.edges])
-
-
-def _check_cfl(dt: float, g_edges: Array, h: float) -> None:
-    limit = dt * float(np.max(np.abs(g_edges))) / h
+def _edge_speeds(grid: Grid1D, g: Callable[[float], float], dt: float) -> Array:
+    """g at the cell edges, checked finite and against the CFL bound of dt."""
+    speeds = np.array([float(g(x)) for x in grid.edges])
+    if not np.all(np.isfinite(speeds)):
+        raise InvalidParam("velocity field must be finite at every cell edge")
+    limit = dt * float(np.max(np.abs(speeds))) / grid.h
     if limit > 0.9 + 1e-12:
         raise CflViolation(f"dt*max|g|/h = {limit:.3f} exceeds 0.9")
+    return speeds
 
 
-def _upwind_step(u: Array, g_edges: Array, dt: float, h: float) -> float:
+def _cell_rates(grid: Grid1D, rate: Callable[[float], float], what: str) -> Array:
+    rates = np.array([float(rate(x)) for x in grid.centers])
+    if not np.all((rates >= 0) & (rates < math.inf)):      # NaN fails too
+        raise InvalidParam(f"{what} must be finite and nonnegative")
+    return rates
+
+
+def _split_speeds(g_edges: Array) -> Tuple[Array, Array]:
+    """The upwind split (max(g, 0), min(g, 0)) of the edge speeds."""
+    return np.maximum(g_edges, 0.0), np.minimum(g_edges, 0.0)
+
+
+def _flux_buffers(shape: Tuple[int, ...]) -> Tuple[Array, Array]:
+    """Work arrays of :func:`_upwind_step` for a density of ``shape``."""
+    return np.empty((shape[0] + 1,) + shape[1:]), np.empty(shape)
+
+
+def _upwind_step(u: Array, speeds, buffers, dt: float, h: float) -> float:
     """One conservative upwind update in place; returns the boundary outflow mass.
 
     Works on 1-D arrays and on 2-D arrays whose first axis is the transport
-    direction (each column advected with the same speeds).
+    direction (each column advected with the same speeds, shaped (n + 1, 1)).
+    ``buffers`` come from :func:`_flux_buffers`; they are free on return.
     """
-    gp = np.maximum(g_edges, 0.0)
-    gm = np.minimum(g_edges, 0.0)
-    flux = np.zeros((u.shape[0] + 1,) + u.shape[1:])
-    if u.ndim == 2:
-        gp = gp[:, None]
-        gm = gm[:, None]
-    flux[1:-1] = gp[1:-1] * u[:-1] + gm[1:-1] * u[1:]
-    flux[0] = gm[0] * u[0]      # outflow only where the field points outward
-    flux[-1] = gp[-1] * u[-1]
-    u -= (dt / h) * (flux[1:] - flux[:-1])
-    out = float(np.sum(flux[-1]) - np.sum(flux[0])) * dt
-    return out
+    gp, gm = speeds
+    flux, diff = buffers
+    np.multiply(gp[1:-1], u[:-1], out=flux[1:-1])
+    flux[1:-1] += np.multiply(gm[1:-1], u[1:], out=diff[1:])
+    np.multiply(gm[:1], u[:1], out=flux[:1])    # outflow only where the field points outward
+    np.multiply(gp[-1:], u[-1:], out=flux[-1:])
+    np.subtract(flux[1:], flux[:-1], out=diff)
+    diff *= dt / h
+    u -= diff
+    return float(np.sum(flux[-1]) - np.sum(flux[0])) * dt
 
 
 class _FixedStepSolver:
@@ -177,8 +194,10 @@ class _FixedStepSolver:
             raise InvalidParam("need dt > 0 and t_end >= 0")
         n_full = int(math.floor(duration / self.dt + 1e-9))
         rem = duration - n_full * self.dt
+        work = self._work(density, self.dt) if n_full else None
         for _ in range(n_full):
-            self.step(density)
+            self.step(density, None, work)
+        work = None     # the whole steps share one buffer set; a remainder makes its own
         if rem >= 1e-12 * max(1.0, duration):
             self.step(density, rem)
         return density
@@ -195,12 +214,15 @@ class LiouvilleSolver(_FixedStepSolver):
     def __init__(self, grid: Grid1D, g: Callable[[float], float], dt: float):
         self.grid = grid
         self.dt = dt
-        self.g_edges = _edge_speeds(grid, g)
-        _check_cfl(dt, self.g_edges, grid.h)
+        self.g_edges = _edge_speeds(grid, g, dt)
 
-    def step(self, density: DensityGrid, dt: Optional[float] = None) -> None:
+    def _work(self, density: DensityGrid, dt: float):
+        return _split_speeds(self.g_edges), _flux_buffers(density.values[0].shape)
+
+    def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
-        density.outflow += _upwind_step(density.values[0], self.g_edges, dt, self.grid.h)
+        speeds, buffers = self._work(density, dt) if work is None else work
+        density.outflow += _upwind_step(density.values[0], speeds, buffers, dt, self.grid.h)
         density.time += dt
         _audit(density, "liouville")
 
@@ -226,32 +248,48 @@ class SwitchingSolver(_FixedStepSolver):
     def __init__(self, grid: Grid1D, g0, g1, q0, q1, dt: float):
         self.grid = grid
         self.dt = dt
-        self.g_edges = [_edge_speeds(grid, g0), _edge_speeds(grid, g1)]
-        for ge in self.g_edges:
-            _check_cfl(dt, ge, grid.h)
-        centers = grid.centers
-        self.q0_c = np.array([float(q0(x)) for x in centers])
-        self.q1_c = np.array([float(q1(x)) for x in centers])
-        if np.any(self.q0_c < 0) or np.any(self.q1_c < 0):
-            raise InvalidParam("switching intensities must be nonnegative")
+        self.g_edges = [_edge_speeds(grid, g0, dt), _edge_speeds(grid, g1, dt)]
+        self.q0_c = _cell_rates(grid, q0, "switching intensities")
+        self.q1_c = _cell_rates(grid, q1, "switching intensities")
         if dt * float(max(self.q0_c.max(), self.q1_c.max())) > 0.5 + 1e-12:
             raise CflViolation("dt * max(q) exceeds 0.5")
+        # cells with q0 + q1 = 0 do not exchange; None when every cell does
+        active = self.q0_c + self.q1_c > 0
+        self._active = None if active.all() else np.flatnonzero(active)
 
-    def _exchange(self, u: Array, dt: float) -> None:
-        s = self.q0_c + self.q1_c
-        active = s > 0
-        e = np.exp(-s[active] * dt)
-        m = u[0, active] + u[1, active]
-        eq0 = (self.q1_c[active] / s[active]) * m
-        u[0, active] = eq0 + (u[0, active] - eq0) * e
-        u[1, active] = m - u[0, active]
+    def _work(self, density: DensityGrid, dt: float):
+        idx = self._active
+        q0, q1 = (self.q0_c, self.q1_c) if idx is None else (self.q0_c[idx], self.q1_c[idx])
+        s = q0 + q1
+        ratio = q1 / s
+        e = np.exp(np.multiply(np.negative(s, out=s), dt, out=s), out=s)    # exp(-s dt)
+        gathered = None if idx is None else np.empty((2, s.size))
+        return ([_split_speeds(ge) for ge in self.g_edges],
+                _flux_buffers(density.values[0].shape), (ratio, e, gathered))
 
-    def step(self, density: DensityGrid, dt: Optional[float] = None) -> None:
+    def _exchange(self, u: Array, buffers, ratio: Array, e: Array,
+                  gathered: Optional[Array]) -> None:
+        """Exact exchange exp(Q dt) in place, worked in the free upwind buffers."""
+        if gathered is not None:
+            np.take(u, self._active, axis=1, out=gathered)
+        u0, u1 = u if gathered is None else gathered
+        m, eq0 = buffers[1][:u0.size], buffers[0][:u0.size]
+        np.add(u0, u1, out=m)
+        np.multiply(ratio, m, out=eq0)     # the equilibrium share of regime 0
+        np.subtract(u0, eq0, out=u1)       # u1 is free until its last line
+        u1 *= e
+        np.add(eq0, u1, out=u0)
+        np.subtract(m, u0, out=u1)
+        if gathered is not None:
+            u[:, self._active] = gathered
+
+    def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
+        speeds, buffers, exchange = self._work(density, dt) if work is None else work
         for i in (0, 1):
-            density.outflow += _upwind_step(density.values[i], self.g_edges[i],
+            density.outflow += _upwind_step(density.values[i], speeds[i], buffers,
                                             dt, self.grid.h)
-        self._exchange(density.values, dt)
+        self._exchange(density.values, buffers, *exchange)
         density.time += dt
         _audit(density, "switching")
 
@@ -274,22 +312,24 @@ class CellCycleSolver(_FixedStepSolver):
             raise GridNotDyadic("cell-cycle solver needs a dyadic-aligned grid")
         self.grid = grid
         self.dt = dt
-        self.g_edges = _edge_speeds(grid, g)
-        _check_cfl(dt, self.g_edges, grid.h)
-        self.phi_c = np.array([float(phi(x)) for x in grid.centers])
-        if np.any(self.phi_c < 0):
-            raise InvalidParam("division intensity must be nonnegative")
+        self.g_edges = _edge_speeds(grid, g, dt)
+        self.phi_c = _cell_rates(grid, phi, "division intensity")
         if dt * float(self.phi_c.max()) > 0.5 + 1e-12:
             raise CflViolation("dt * max(phi) exceeds 0.5")
 
-    def step(self, density: DensityGrid, dt: Optional[float] = None) -> None:
+    def _work(self, density: DensityGrid, dt: float):
+        return (_split_speeds(self.g_edges), _flux_buffers(density.values[0].shape),
+                dt * self.phi_c)
+
+    def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
+        speeds, (flux, diff), dt_phi = self._work(density, dt) if work is None else work
         u = density.values[0]
-        density.outflow += _upwind_step(u, self.g_edges, dt, self.grid.h)
-        loss = dt * self.phi_c * u
+        density.outflow += _upwind_step(u, speeds, (flux, diff), dt, self.grid.h)
+        loss = np.multiply(dt_phi, u, out=diff)     # the upwind buffers are free again
         u -= loss
         half = self.grid.n // 2
-        u[:half] += loss[0::2] + loss[1::2]
+        u[:half] += np.add(loss[0::2], loss[1::2], out=flux[:half])
         density.time += dt
         _audit(density, "cell_cycle")
 
@@ -378,22 +418,27 @@ class TwoPhaseSolver:
         self.n_y = n_y
         self.t_B = t_B
         self.dt = dt
-        self.g_edges = _edge_speeds(x_grid, g)
-        _check_cfl(dt, self.g_edges, x_grid.h)
-        self.phi_c = np.array([float(phi(x)) for x in x_grid.centers])
-        if np.any(self.phi_c < 0):
-            raise InvalidParam("phase-entry intensity must be nonnegative")
+        self.g_edges = _edge_speeds(x_grid, g, dt)
+        self.phi_c = _cell_rates(x_grid, phi, "phase-entry intensity")
         if dt * float(self.phi_c.max()) > 0.5 + 1e-12:
             raise CflViolation("dt * max(phi) exceeds 0.5")
         self._substep = 0
 
-    def step(self, density: TwoPhaseDensity) -> None:
+    def _work(self, density: TwoPhaseDensity):
+        gp, gm = _split_speeds(self.g_edges)
+        return ((gp, gm), _flux_buffers(density.f_a.shape), (gp[:, None], gm[:, None]),
+                _flux_buffers(density.f_b.shape), self.dt * self.phi_c)
+
+    def step(self, density: TwoPhaseDensity, work=None) -> None:
+        speeds_a, (flux_a, diff_a), speeds_b, buffers_b, dt_phi = (
+            self._work(density) if work is None else work)
         dt, h = self.dt, self.x_grid.h
-        density.outflow += _upwind_step(density.f_a, self.g_edges, dt, h)
-        out_b = _upwind_step(density.f_b, self.g_edges, dt, h)
+        density.outflow += _upwind_step(density.f_a, speeds_a, (flux_a, diff_a), dt, h)
+        out_b = _upwind_step(density.f_b, speeds_b, buffers_b, dt, h)
         density.outflow += out_b * density.dy
 
-        loss = dt * self.phi_c * density.f_a    # boundary condition f_b(.,0) = phi f_a
+        # boundary condition f_b(.,0) = phi f_a; the f_a upwind buffers are free again
+        loss = np.multiply(dt_phi, density.f_a, out=diff_a)
         density.f_a -= loss
         density.staging += loss
 
@@ -401,13 +446,14 @@ class TwoPhaseSolver:
         if self._substep == self.k:
             self._substep = 0
             dy = density.dy
-            exit_col = density.f_b[:, -1].copy()
+            exit_col = flux_a[:-1]
+            np.copyto(exit_col, density.f_b[:, -1])
             density.f_b[:, 1:] = density.f_b[:, :-1]
-            density.f_b[:, 0] = density.staging / dy
+            np.divide(density.staging, dy, out=density.f_b[:, 0])
             density.staging[:] = 0.0
-            half = self.x_grid.n // 2
-            gain = (exit_col[0::2] + exit_col[1::2]) * dy
-            density.f_a[:half] += gain
+            gain = np.add(exit_col[0::2], exit_col[1::2], out=diff_a[:exit_col.size // 2])
+            gain *= dy
+            density.f_a[:gain.size] += gain
         density.time += dt
         _audit(density, "two_phase")
 
@@ -417,8 +463,9 @@ class TwoPhaseSolver:
         n_steps = int(round(duration / self.dt))
         if abs(n_steps * self.dt - duration) > 1e-9 * max(1.0, duration):
             raise DtMisaligned("advance duration must be a multiple of dt")
+        work = self._work(density)
         for _ in range(n_steps):
-            self.step(density)
+            self.step(density, work)
         return density
 
 
@@ -447,12 +494,14 @@ def steady_state(solver, density, tol: float, t_max: float):
         every = max(1, round(1.0 / solver.dt)) * solver.dt
     t = 0.0
     weights = _l1_weights(density)
+    prev = [np.empty_like(b) for b in _value_blocks(density)]
     while t < t_max - 1e-12:
         span = min(every, t_max - t)
-        prev = [b.copy() for b in _value_blocks(density)]
+        for old, new in zip(prev, _value_blocks(density)):
+            np.copyto(old, new)
         solver.advance(density, span)
         t += span
-        diff = sum(float(np.abs(new - old).sum()) * w
+        diff = sum(float(np.abs(np.subtract(new, old, out=old), out=old).sum()) * w
                    for old, new, w in zip(prev, _value_blocks(density), weights))
         if diff < tol * span:
             return density, True
@@ -480,6 +529,7 @@ def density_to_csv(density: Union[DensityGrid, TwoPhaseDensity], path) -> None:
         centers = density.x_grid.centers
         blocks = (density.f_a, density.f_b.sum(axis=1) * density.dy + density.staging)
     t = F17(density.time)
+    xs = [F17(x) for x in centers.tolist()]
     write_csv(path, ["t", "regime", "cell_center", "value"],
-              ([t, r, F17(x), F17(v)] for r, vals in enumerate(blocks)
-               for x, v in zip(centers, vals)))
+              ([t, r, x, F17(v)] for r, vals in enumerate(blocks)
+               for x, v in zip(xs, vals.tolist())))

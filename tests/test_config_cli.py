@@ -345,6 +345,20 @@ class TestCli:
         assert err["kind"] == "ModelError"
         assert "b0 < mu" in err["message"]
 
+    def test_nonfinite_rate_exit_code(self, tmp_path, capsys):
+        # 1e308 * 10 overflows to inf, and inf * x - inf * x is NaN
+        bad = tmp_path / "nan.yaml"
+        bad.write_text('command: evolve\nmodel: {name: cell_cycle_1p, g: "x",'
+                       ' phi: "1e308*10*x - 1e308*10*x"}\n'
+                       "evolve: {grid: {n: 16, x_max: 8.0}, dt: 0.01, t_end: 0.1}\n")
+        with pytest.warns(RuntimeWarning):
+            code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["kind"] == "ModelError"
+        assert "finite" in err["message"]
+        assert not (tmp_path / "o" / "density.csv").exists()
+
     def test_command_conflict_rejected(self, config_dir, tmp_path, capsys):
         code = main(["simulate",
                      "--config", str(config_dir / "demo_classify_stable.yaml"),

@@ -8,7 +8,12 @@ without a closed-form flow (bracketed root-finding and ODE event boundary
 hits), allee (RK45 flow) and cell_cycle_1p without a closed form (augmented-ODE
 inverse of the cumulative hazard).  Two birth_switch analysis runs pin the
 ``stationary`` command on a stable set (the r0 route, which writes
-``fstar.csv``) and ``classify`` on a sweeping set.  They were recorded on
+``fstar.csv``) and ``classify`` on a sweeping set.  Five library cases pin
+the raw bytes of grid-solver arrays on paths the CLI runs do not reach: a
+``SwitchingSolver`` whose rates are both zero on part of the grid (the
+exchange runs on the active cells only), ``advance`` durations that end in a
+shorter remainder step, a ``TwoPhaseSolver`` run across several y-shifts, and
+``steady_state`` with a partial last span.  They were recorded on
 x86-64 Linux with numpy 2.4.6 and scipy 1.17.1; another numpy/scipy build may
 round differently in the last bit, which changes the 17-digit CSV text.  To
 see the digests of the current code run ``python tests/test_golden.py``.
@@ -17,10 +22,21 @@ see the digests of the current code run ``python tests/test_golden.py``.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmpkit.cli import run
 from pdmpkit.config import load_config
+from pdmpkit.transport import (
+    CellCycleSolver,
+    Grid1D,
+    LiouvilleSolver,
+    SwitchingSolver,
+    TwoPhaseSolver,
+    density_from,
+    steady_state,
+    two_phase_density,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,6 +123,73 @@ ANALYSIS = {
 }
 
 
+def _gauss(grid, center, width):
+    return np.exp(-((grid.centers - center) / width) ** 2)
+
+
+def _arrays(density) -> dict:
+    scalars = np.array([density.time, density.outflow, density.initial_mass])
+    if hasattr(density, "f_b"):
+        return {"f_a": density.f_a, "f_b": density.f_b, "staging": density.staging,
+                "scalars": scalars}
+    return {"values": density.values, "scalars": scalars}
+
+
+def _switching_idle_cells() -> dict:
+    # q0 = q1 = 0 below x = 0.3; 0.41 is 20 steps of 0.02 plus a 0.01 remainder
+    grid = Grid1D(0.0, 1.0, 40)
+    solver = SwitchingSolver(grid, lambda x: -x, lambda x: 1.0 - x,
+                             lambda x: 0.0 if x < 0.3 else 1.0 + x,
+                             lambda x: 0.0 if x < 0.3 else 0.5, 0.02)
+    density = density_from(grid, [_gauss(grid, 0.6, 0.1), _gauss(grid, 0.2, 0.1)])
+    return _arrays(solver.advance(density, 0.41))
+
+
+def _remainder_steps() -> dict:
+    # each duration ends in a remainder step shorter than dt
+    grid = Grid1D(0.0, 1.0, 48)
+    switching = SwitchingSolver(grid, lambda x: -x, lambda x: 1.0 - x,
+                                lambda x: 1.0 + x, lambda x: 2.0 - x, 0.015)
+    sw = switching.advance(density_from(grid, [_gauss(grid, 0.5, 0.1)] * 2), 0.37)
+    dyadic = Grid1D(0.0, 8.0, 64, dyadic_aligned=True)
+    cc = CellCycleSolver(dyadic, lambda x: x, lambda x: 1.1 * x, 0.01).advance(
+        density_from(dyadic, [_gauss(dyadic, 1.2, 0.3)]), 0.237)
+    lv = LiouvilleSolver(grid, lambda x: 0.5 - x, 0.03).advance(
+        density_from(grid, [_gauss(grid, 0.3, 0.1)]), 0.5)
+    return {f"{name}.{key}": arr for name, d in (("switching", sw), ("cell_cycle", cc),
+                                                 ("liouville", lv))
+            for key, arr in _arrays(d).items()}
+
+
+def _two_phase_shifts() -> dict:
+    # dy = 0.125 and dt = dy / 4: 0.75 takes 24 steps and six y-shifts
+    grid = Grid1D(0.0, 8.0, 16, dyadic_aligned=True)
+    n_y, t_b = 4, 0.5
+    f_b0 = np.outer(_gauss(grid, 2.0, 0.5), np.arange(1.0, n_y + 1.0))
+    density = two_phase_density(grid, n_y, t_b, _gauss(grid, 1.0, 0.4), f_b0)
+    solver = TwoPhaseSolver(grid, n_y, t_b, lambda x: x, lambda x: 0.9 * x, 0.03125)
+    return _arrays(solver.advance(density, 0.75))
+
+
+def _steady_partial_span() -> dict:
+    # t_max 2.5: two unit spans and a half span, with no convergence
+    grid = Grid1D(0.0, 1.0, 32)
+    solver = SwitchingSolver(grid, lambda x: -x, lambda x: 1.0 - x,
+                             lambda x: 1.0, lambda x: 1.0, 0.01)
+    density = density_from(grid, [_gauss(grid, 0.7, 0.1), _gauss(grid, 0.3, 0.1)])
+    density, converged = steady_state(solver, density, tol=1e-12, t_max=2.5)
+    assert not converged
+    return _arrays(density)
+
+
+LIBRARY = {
+    "library:switching_idle_cells": _switching_idle_cells,
+    "library:remainder_steps": _remainder_steps,
+    "library:two_phase_shifts": _two_phase_shifts,
+    "library:steady_partial_span": _steady_partial_span,
+}
+
+
 def _digests(out: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
@@ -115,6 +198,9 @@ def _digests(out: Path) -> dict:
 def run_case(case: str, out: Path) -> dict:
     """Run one named case into ``out`` and return {artifact name: sha256}."""
     kind, _, name = case.partition(":")
+    if kind == "library":
+        return {key: hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+                for key, arr in LIBRARY[case]().items()}
     if kind == "config":
         cfg = load_config(CONFIG_DIR / f"{name}.yaml")
         run(cfg["command"], cfg, out)
@@ -129,7 +215,7 @@ def run_case(case: str, out: Path) -> dict:
 
 
 CASES = ([f"config:{n}" for n in SHIPPED] + [f"evolve:{n}" for n in EVOLVE] + list(SIMULATE)
-         + list(ANALYSIS))
+         + list(ANALYSIS) + list(LIBRARY))
 
 GOLDEN = {
     "config:accept09_reproducibility": {
@@ -216,6 +302,28 @@ GOLDEN = {
     "stationary:birth_switch_stable": {
         "fstar.csv": "5fefa9761ae866d7aced51f3334120e49eda22cec1531349b41dbef07f055bd5",
         "report.json": "b64b6a4855fe42b73f34ef888eb6ae9d5400c87b657663a5dbcf3575b620185a",
+    },
+    "library:remainder_steps": {
+        "cell_cycle.scalars": "f3395933ddb52926f8c220671b4cfb69c858f540532b1972e98a820355dc3d70",
+        "cell_cycle.values": "da598e7c8f05644c015786ad6e07db9dc6aea68511c2f75d03280c427ddaeeb1",
+        "liouville.scalars": "075b7b9221e132ef0a355493aa2f558cf8aacdc326e4a4e1ad136a379ca82ee5",
+        "liouville.values": "f857ce8b1c8b0b5cdeb0f8b9b97159526098fbd22428aede1d8001f9c27b91de",
+        "switching.scalars": "193228bc486e8196fd71b5f1453f3cb3db3a6ee13da2e51a85d83534b01dc5d8",
+        "switching.values": "76e8408b7ea8646cdf298a2e2b60abc477882b899c5e9cc45fbe7cf11bc5a5d2",
+    },
+    "library:steady_partial_span": {
+        "scalars": "250b6fdee0d6820820c376706f0b955c613e82fa15d466ff52158928b3b422a0",
+        "values": "d5f0978cca1695194b09068d94d4afbd9796d2935a5283a50ac64590de7f05dd",
+    },
+    "library:switching_idle_cells": {
+        "scalars": "91c055828b5d6725b1f292707c5a97c7ca1cf6c62db26cfdd775d6a4e503bf4d",
+        "values": "48f6b13c95dcf5026d0e094a103fbba427719bed04a6cf7f4b9d9cc0b33b46c5",
+    },
+    "library:two_phase_shifts": {
+        "f_a": "4e81ae9817c8ba0bbfa7aba28798ce199390a52d85add2b0d9730608b033be89",
+        "f_b": "828191740b7cfb7ca1016a57560357f46a1f9ce913601c149a9f8c828287b593",
+        "scalars": "bf4e9a3f7728ba4735c6799fc61ddfa810d2c32c3624929be0b997cffaa5ab1e",
+        "staging": "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
     },
 }
 

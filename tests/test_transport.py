@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pdmpkit.errors import (
     DtMisaligned,
     GridNotDyadic,
     InvalidParam,
+    MassAuditError,
 )
 from pdmpkit.transport import coarsen_density
 
@@ -325,3 +327,99 @@ class TestInitialConditions:
         from_arr = density_from(grid, np.array([bump(0.5, 0.1)(x)
                                                 for x in grid.centers]))
         assert np.array_equal(from_fn.values, from_arr.values)
+
+
+def _solver_cases():
+    grid = Grid1D(0.0, 1.0, 64)
+    dyadic = Grid1D(0.0, 8.0, 64, dyadic_aligned=True)
+    gene = (lambda x: -x), (lambda x: 1.0 - x)
+    return {
+        "liouville": lambda: (LiouvilleSolver(grid, lambda x: 0.5 - x, 0.01),
+                              density_from(grid, [bump(0.3, 0.1)])),
+        "switching": lambda: (SwitchingSolver(grid, *gene, lambda x: 1.0 + x,
+                                              lambda x: 0.5, 0.01),
+                              density_from(grid, [bump(0.6, 0.1), bump(0.3, 0.1)])),
+        "switching_idle_cells": lambda: (
+            SwitchingSolver(grid, *gene, lambda x: 0.0 if x < 0.4 else 1.0,
+                            lambda x: 0.0 if x < 0.4 else 2.0, 0.01),
+            density_from(grid, [bump(0.6, 0.1), bump(0.3, 0.1)])),
+        "cell_cycle": lambda: (CellCycleSolver(dyadic, lambda x: x, lambda x: x, 0.01),
+                               density_from(dyadic, [bump(1.0, 0.3)])),
+        # dy = 0.0625 and dt = dy / 5: ten steps cross two y-shifts
+        "two_phase": lambda: (TwoPhaseSolver(dyadic, 8, 0.5, lambda x: x, lambda x: x,
+                                             0.0125),
+                              two_phase_density(dyadic, 8, 0.5, bump(1.0, 0.3))),
+    }
+
+
+def _blocks(density):
+    if hasattr(density, "f_b"):
+        return [density.f_a, density.f_b, density.staging]
+    return [density.values]
+
+
+def _array_bytes(solver) -> int:
+    items = [x for v in vars(solver).values() for x in (v if isinstance(v, list) else [v])]
+    return sum(x.nbytes for x in items if isinstance(x, np.ndarray))
+
+
+class TestWorkBuffers:
+    """``advance`` steps inside one set of work buffers and keeps none of them."""
+
+    @pytest.mark.parametrize("case", sorted(_solver_cases()))
+    def test_direct_steps_match_advance(self, case):
+        solver, dens = _solver_cases()[case]()
+        stepped = dens.copy()
+        solver.advance(dens, 10 * solver.dt)
+        for _ in range(10):
+            solver.step(stepped)
+        for a, b in zip(_blocks(dens), _blocks(stepped)):
+            assert np.array_equal(a, b)
+        assert (dens.time, dens.outflow) == (stepped.time, stepped.outflow)
+
+    @pytest.mark.parametrize("case", sorted(_solver_cases()))
+    def test_solver_keeps_no_arrays_after_advance(self, case):
+        solver, dens = _solver_cases()[case]()
+        before = _array_bytes(solver)
+        solver.advance(dens, 10.5 * solver.dt if case != "two_phase" else 10 * solver.dt)
+        assert _array_bytes(solver) == before
+
+    def test_minor_faults_do_not_grow_with_steps(self):
+        # fresh full-grid temporaries on every step would fault in new pages
+        # each step: 10x the faults for 10x the steps
+        n = 2 ** 17
+        grid = Grid1D(0.0, 1.0, n)
+        solver = SwitchingSolver(grid, lambda x: -x, lambda x: 1.0 - x,
+                                 lambda x: 1.0, lambda x: 1.0, 0.8 / n)
+        dens = density_from(grid, [np.full(n, 0.5), np.full(n, 0.5)])
+
+        def faults(steps):
+            d = dens.copy()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            solver.advance(d, steps * solver.dt)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(4)
+        few, many = faults(4), faults(40)
+        assert many <= 1.5 * few
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("make", [
+        lambda g: LiouvilleSolver(g, lambda x: math.nan, 0.01),
+        lambda g: SwitchingSolver(g, lambda x: -x, lambda x: 1.0 - x,
+                                  lambda x: math.inf, lambda x: 1.0, 0.01),
+        lambda g: CellCycleSolver(g, lambda x: x, lambda x: math.nan, 0.01),
+        lambda g: TwoPhaseSolver(g, 4, 0.5, lambda x: math.nan, lambda x: x, 0.025),
+    ], ids=["liouville", "switching", "cell_cycle", "two_phase"])
+    def test_constructors_reject_nonfinite(self, make):
+        with pytest.raises(InvalidParam, match="finite"):
+            make(Grid1D(0.0, 1.0, 32, dyadic_aligned=True))
+
+    @pytest.mark.parametrize("case,block", [("switching", 0), ("two_phase", 1),
+                                            ("two_phase", 2)])
+    def test_audit_rejects_nan(self, case, block):
+        solver, dens = _solver_cases()[case]()
+        _blocks(dens)[block].flat[5] = math.nan
+        with pytest.raises(MassAuditError, match="NaN"):
+            solver.step(dens)
