@@ -253,35 +253,30 @@ class SwitchingSolver(_FixedStepSolver):
         self.q1_c = _cell_rates(grid, q1, "switching intensities")
         if dt * float(max(self.q0_c.max(), self.q1_c.max())) > 0.5 + 1e-12:
             raise CflViolation("dt * max(q) exceeds 0.5")
-        # cells with q0 + q1 = 0 do not exchange; None when every cell does
+        # cells with q0 + q1 = 0 do not exchange; True when every cell does
         active = self.q0_c + self.q1_c > 0
-        self._active = None if active.all() else np.flatnonzero(active)
+        self._active = True if active.all() else active
 
     def _work(self, density: DensityGrid, dt: float):
-        idx = self._active
-        q0, q1 = (self.q0_c, self.q1_c) if idx is None else (self.q0_c[idx], self.q1_c[idx])
-        s = q0 + q1
-        ratio = q1 / s
+        s = self.q0_c + self.q1_c
+        ratio = np.divide(self.q1_c, s, out=np.zeros_like(s), where=self._active)
         e = np.exp(np.multiply(np.negative(s, out=s), dt, out=s), out=s)    # exp(-s dt)
-        gathered = None if idx is None else np.empty((2, s.size))
         return ([_split_speeds(ge) for ge in self.g_edges],
-                _flux_buffers(density.values[0].shape), (ratio, e, gathered))
+                _flux_buffers(density.values[0].shape), (ratio, e))
 
-    def _exchange(self, u: Array, buffers, ratio: Array, e: Array,
-                  gathered: Optional[Array]) -> None:
-        """Exact exchange exp(Q dt) in place, worked in the free upwind buffers."""
-        if gathered is not None:
-            np.take(u, self._active, axis=1, out=gathered)
-        u0, u1 = u if gathered is None else gathered
-        m, eq0 = buffers[1][:u0.size], buffers[0][:u0.size]
+    def _exchange(self, u: Array, buffers, ratio: Array, e: Array) -> None:
+        """Exact exchange exp(Q dt) in place, worked in the free upwind buffers.
+
+        Only the active cells are written; the others keep their values.
+        """
+        u0, u1 = u
+        m, eq0, w = buffers[1], buffers[0][:u0.size], self._active
         np.add(u0, u1, out=m)
         np.multiply(ratio, m, out=eq0)     # the equilibrium share of regime 0
-        np.subtract(u0, eq0, out=u1)       # u1 is free until its last line
-        u1 *= e
-        np.add(eq0, u1, out=u0)
-        np.subtract(m, u0, out=u1)
-        if gathered is not None:
-            u[:, self._active] = gathered
+        np.subtract(u0, eq0, out=u1, where=w)      # u1 is free until its last line
+        np.multiply(u1, e, out=u1, where=w)
+        np.add(eq0, u1, out=u0, where=w)
+        np.subtract(m, u0, out=u1, where=w)
 
     def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
@@ -354,6 +349,7 @@ class TwoPhaseDensity:
     outflow: float = 0.0
 
     def __post_init__(self):
+        self.f_b = np.ascontiguousarray(self.f_b, dtype=float)    # the y-shift works on it flat
         if math.isnan(self.initial_mass):
             self.initial_mass = self.mass()
 
@@ -448,7 +444,8 @@ class TwoPhaseSolver:
             dy = density.dy
             exit_col = flux_a[:-1]
             np.copyto(exit_col, density.f_b[:, -1])
-            density.f_b[:, 1:] = density.f_b[:, :-1]
+            flat = density.f_b.reshape(-1)     # a 1-D overlapping copy needs no temporary;
+            flat[1:] = flat[:-1]                # the column 0 it wraps into is overwritten next
             np.divide(density.staging, dy, out=density.f_b[:, 0])
             density.staging[:] = 0.0
             gain = np.add(exit_col[0::2], exit_col[1::2], out=diff_a[:exit_col.size // 2])
