@@ -97,8 +97,12 @@ class SwitchingFields:
     Fields g0/g1 drive regimes 0/1, dg0/dg1 are their derivatives where the
     catalog knows them, and q0 (0 -> 1) and q1 (1 -> 0) are the switching
     intensities, all as scalar callables.  ``a`` is the right end of the
-    invariant interval (0, a) when the model has one.  The event model, the
-    grid solver and the stationary analysis all read this record.
+    invariant interval (0, a) when the model has one.  ``exp_neg_R`` is
+    exp(-R(x)), R the antiderivative of q0/g0 + q1/g1 from a/2, where it is
+    exact: gene expression and birth_switch with numeric q set it, and the
+    stationary analysis falls back to nested quadrature where it is None.
+    The event model, the grid solver and the stationary analysis all read
+    this record.
     """
 
     g0: Callable[[float], float]
@@ -108,6 +112,7 @@ class SwitchingFields:
     dg0: Optional[Callable[[float], float]] = None
     dg1: Optional[Callable[[float], float]] = None
     a: Optional[float] = None
+    exp_neg_R: Optional[Callable[[float], float]] = None
 
     def flow(self, regime: int, closed_form=None) -> Flow:
         """The 1-D flow of one regime, with its Jacobian when dg is known."""
@@ -352,11 +357,17 @@ class GeneExpressionParams:
         return self.P / self.mu
 
     def fields(self) -> SwitchingFields:
-        """Off: x' = -mu x; on: x' = P - mu x; invariant interval (0, P/mu)."""
-        P, mu = self.P, self.mu
+        """Off: x' = -mu x; on: x' = P - mu x; invariant interval (0, P/mu).
+        With numeric q, exp(-R) = (x/m)^(q0/mu) ((a-x)/(a-m))^(q1/mu), m = a/2."""
+        P, mu, a = self.P, self.mu, self.x_max
+        exp_neg_R = None
+        if not (callable(self.q0) or callable(self.q1)):
+            m, k0, k1 = 0.5 * a, float(self.q0) / mu, float(self.q1) / mu
+            exp_neg_R = lambda x: (x / m) ** k0 * ((a - x) / (a - m)) ** k1
         return SwitchingFields(g0=lambda x: -mu * x, g1=lambda x: P - mu * x,
                                q0=_scalar_fn(self.q0), q1=_scalar_fn(self.q1),
-                               dg0=lambda x: -mu, dg1=lambda x: -mu, a=self.x_max)
+                               dg0=lambda x: -mu, dg1=lambda x: -mu, a=a,
+                               exp_neg_R=exp_neg_R)
 
 
 def make_gene_expression(p: GeneExpressionParams) -> PdmpModel:
@@ -522,12 +533,20 @@ class BirthSwitchParams:
         return (self.b1 - self.mu) / self.c
 
     def fields(self) -> SwitchingFields:
-        """x' = (rho_i - c x) x with rho_i = b_i - mu; invariant interval (0, a]."""
-        c, rho0, rho1 = self.c, self.b0 - self.mu, self.b1 - self.mu
+        """x' = (rho_i - c x) x with rho_i = b_i - mu; invariant interval (0, a].
+        With numeric q, partial fractions give exp(-R) as the product over i of
+        ((x/m) |rho_i - c m| / |rho_i - c x|)^(-q_i/rho_i), m = a/2."""
+        c, rho0, rho1, a = self.c, self.b0 - self.mu, self.b1 - self.mu, self.attractor_end
+        exp_neg_R = None
+        if not (callable(self.q0) or callable(self.q1)):
+            m, k0, k1 = 0.5 * a, -float(self.q0) / rho0, -float(self.q1) / rho1
+            d0, d1 = abs(rho0 - c * m), abs(rho1 - c * m)
+            exp_neg_R = lambda x: (((x / m) * d0 / abs(rho0 - c * x)) ** k0
+                                   * ((x / m) * d1 / abs(rho1 - c * x)) ** k1)
         return SwitchingFields(g0=lambda x: (rho0 - c * x) * x, g1=lambda x: (rho1 - c * x) * x,
                                q0=_scalar_fn(self.q0), q1=_scalar_fn(self.q1),
                                dg0=lambda x: rho0 - 2.0 * c * x,
-                               dg1=lambda x: rho1 - 2.0 * c * x, a=self.attractor_end)
+                               dg1=lambda x: rho1 - 2.0 * c * x, a=a, exp_neg_R=exp_neg_R)
 
 
 def _logistic_closed_form(rho: float, c: float):

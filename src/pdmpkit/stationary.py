@@ -46,7 +46,7 @@ class StationaryDensity:
 
 def _exp_neg_R(fields: SwitchingFields) -> Callable[[float], float]:
     g0, g1, q0, q1, a = fields.g0, fields.g1, fields.q0, fields.q1, fields.a
-    x_mid = 0.5 * a
+    x_mid, closed = 0.5 * a, fields.exp_neg_R
 
     def r(x: float) -> float:
         return q0(x) / g0(x) + q1(x) / g1(x)
@@ -54,6 +54,8 @@ def _exp_neg_R(fields: SwitchingFields) -> Callable[[float], float]:
     def e(x: float) -> float:
         if not 0.0 < x < a:
             raise InvalidParam("stationary density is defined on (0, a)")
+        if closed is not None:
+            return closed(x)
         val, err = quad(r, x_mid, x, limit=200, epsabs=1e-13, epsrel=1e-12)
         return math.exp(-val)
 
@@ -65,7 +67,8 @@ def stationary_density(fields: SwitchingFields) -> StationaryDensity:
 
     The model must have g0 < 0 < g1 and positive switching intensities in the
     interior (:class:`InvalidParam` otherwise).  With r = q0/g0 + q1/g1 and R
-    its antiderivative from a/2, the pair fbar0 = -exp(-R)/g0,
+    its antiderivative from a/2 (``fields.exp_neg_R`` where the model sets it,
+    else a nested quadrature of r), the pair fbar0 = -exp(-R)/g0,
     fbar1 = exp(-R)/g1 solves the stationary system; the semigroup has an
     invariant density exactly when alpha = int (fbar0+fbar1) is finite.
     Integrability at 0 is decided on a shrinking-endpoint ladder whose piece
@@ -92,7 +95,8 @@ def stationary_density(fields: SwitchingFields) -> StationaryDensity:
         return e_neg_r(x) / g1(x)
 
     def fsum(x: float) -> float:
-        return fbar0(x) + fbar1(x)
+        w = e_neg_r(x)
+        return -w / g0(x) + w / g1(x)
 
     pieces = []
     for hi, lo in zip(_EPS_LADDER[:-1], _EPS_LADDER[1:]):

@@ -127,7 +127,8 @@ def _audit(density, kind: str) -> None:
         vmin = float(np.min(v))
         if not vmin >= -POSITIVITY_TOL:
             raise MassAuditError(f"{kind}: negative or NaN density {vmin:.3e} appeared")
-        np.maximum(v, 0.0, out=v)   # scrub roundoff-level negatives
+        if not vmin > 0.0:      # scrub roundoff-level negatives and -0.0
+            np.maximum(v, 0.0, out=v)
     drift = density.mass_drift()
     if not abs(drift) <= MASS_TOL * max(1.0, density.initial_mass):
         raise MassAuditError(f"{kind}: mass drifted by {drift:.3e}")

@@ -29,8 +29,8 @@ def _report(num, name, t0, extra=""):
 
 REPORT_SHA256 = {
     "c1": "2859c53230e57713d9123933606f4e42795d7f5886afb3578eb7293daa894252",
-    "c2": "224a631d773296f7a364ef0c2274aa78ad1af17248184b1dcbb84014b385639a",
-    "c3": "12586c9d74f431958f3086ab1e5309952a2456a22623e897caaf88476a8f23ef",
+    "c2": "166d9d4a9ff709151527510dd602ccc40b60f64eeebbb41335d22237247722ca",
+    "c3": "3c8a040e061eab2a7710c17bef9015cc8bf1e2f865acd3470740c6a14aa330ea",
     "c4": "8a6db5bdff2e7590a8f4a4f619ca5696242dc0bc7101558faf12bfc2b9dc2f2f",
     "c5": "8e7a69a1b16cc27ae7f4c849c502a4ccfd63c4cd357998e812bcec02440fe916",
     "c6": "6ef0fdba270ff3151d5e3ed428f91e927e308c62a9c88d3696c6f2fb4925c048",

@@ -224,18 +224,18 @@ GOLDEN = {
         "trajectories.csv": "27288499bd74663ec9e8f90f157ba2eb2fa415837aa455931ea773d2f04ae885",
     },
     "classify:birth_switch_sweeping": {
-        "report.json": "fb49d1ba1cf4d6135e7311f0ac266526f78c87185d61f9cd97fd08b456bff889",
+        "report.json": "035f5f3132d4a11ea4952443808d4689a6266b15e9d0d94254f19c3e86e1f367",
     },
     "config:demo_classify_stable": {
-        "report.json": "b64b6a4855fe42b73f34ef888eb6ae9d5400c87b657663a5dbcf3575b620185a",
+        "report.json": "a2d1060bca1b85f65eb31087fcd6abdb9c12adbb2f191fefd5fb82ca30aa0c46",
     },
     "config:demo_gene_evolve": {
         "density.csv": "9557797b622214e2b549a8c68276f2292bdfef54723798ff8ecd3ad2a4fab552",
         "summary.json": "910723ffd5d897f38b428a101d6e1b875e18aaa27677dc1c44f475dba4aa23c2",
     },
     "config:demo_gene_stationary": {
-        "fstar.csv": "378270b5ac3623cf7bdc11d248482365e2b2a7fbfe071250f0e4ead6f3632179",
-        "report.json": "cf2ef5bff13a23e055895e4976d30d6a14514b77f1f337483d893ffbc0712a5a",
+        "fstar.csv": "7e3ea72d508a03e4f9a6fdeddce01e93c3d05d06929d88f91f8ffd8edfd9ec8b",
+        "report.json": "1206a055d0c3b4991369e2ed5020a8ef6d6eaca95bf5bf77e64d44e09e432c33",
     },
     "config:demo_population": {
         "events.csv": "8708cb0207b3d05b48f9dd4e4b7e1a33c451d97655a6297f668e885d87e06b62",
@@ -300,8 +300,8 @@ GOLDEN = {
         "summary.json": "448612d8207ea82f5bc7b30f44eba7cc68b932f8c5d830ff7b9409367bbc5866",
     },
     "stationary:birth_switch_stable": {
-        "fstar.csv": "5fefa9761ae866d7aced51f3334120e49eda22cec1531349b41dbef07f055bd5",
-        "report.json": "b64b6a4855fe42b73f34ef888eb6ae9d5400c87b657663a5dbcf3575b620185a",
+        "fstar.csv": "911022c1386a880bef1826847cae397e18887d0288323b602068b557b7682914",
+        "report.json": "a2d1060bca1b85f65eb31087fcd6abdb9c12adbb2f191fefd5fb82ca30aa0c46",
     },
     "library:remainder_steps": {
         "cell_cycle.scalars": "f3395933ddb52926f8c220671b4cfb69c858f540532b1972e98a820355dc3d70",

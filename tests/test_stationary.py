@@ -1,7 +1,9 @@
 """Closed-form stationary pairs, the stability/sweeping verdict, and span checks."""
 
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from pdmpkit import (
     hormander_check,
     stationary_density,
 )
+from pdmpkit import stationary
+from pdmpkit.config import gene_params
 from pdmpkit.errors import DerivativeDegenerate, InvalidParam
 
 
@@ -103,6 +107,98 @@ class TestStationaryDensity:
             stationary_density(SwitchingFields(**fields))
         with pytest.raises(InvalidParam, match="domain end a must be positive"):
             stationary_density(SwitchingFields(**fields, a=0.0))
+
+
+def gene_expr_q_fields():
+    return gene_params({"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": "1 + x",
+                        "q1": 1.0}).fields()
+
+
+ORACLE_CASES = {
+    "gene": GeneExpressionParams(P=2.0, mu=1.0, q0=0.7, q1=1.3),
+    "birth_switch_stable": BirthSwitchParams(b0=0.5, b1=2.0, c=1.0, mu=1.0, q0=1.0, q1=1.0),
+    "birth_switch_sweeping": BirthSwitchParams(b0=0.2, b1=1.5, c=1.0, mu=1.0, q0=1.0, q1=1.0),
+}
+
+
+def _oracle_exp_neg_R(p, xs):
+    """exp(-R) at xs from 30-digit mpmath quadratures of r = q0/g0 + q1/g1,
+    accumulated outward from a/2 over the sorted points so that every piece
+    stays clear of the poles of r at 0 and a."""
+    if isinstance(p, GeneExpressionParams):
+        P, mu = mp.mpf(p.P), mp.mpf(p.mu)
+        g0, g1 = (lambda x: -mu * x), (lambda x: P - mu * x)
+    else:
+        c, rho0, rho1 = mp.mpf(p.c), mp.mpf(p.b0 - p.mu), mp.mpf(p.b1 - p.mu)
+        g0, g1 = (lambda x: (rho0 - c * x) * x), (lambda x: (rho1 - c * x) * x)
+    q0, q1 = mp.mpf(p.q0), mp.mpf(p.q1)
+    m = mp.mpf(p.fields().a) / 2
+    out = {}
+    for side in (sorted((x for x in xs if x < m), reverse=True), sorted(x for x in xs if x > m)):
+        R, prev = mp.mpf(0), m
+        for x in side:
+            R += mp.quad(lambda s: q0 / g0(s) + q1 / g1(s), [prev, mp.mpf(x)])
+            prev = mp.mpf(x)
+            out[x] = mp.exp(-R)
+    return out
+
+
+class TestExpNegR:
+    """The catalog's closed-form exp(-R) and the nested-quadrature fallback."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_against_mpmath_oracle(self, case):
+        p = ORACLE_CASES[case]
+        fields = p.fields()
+        a = fields.a
+        xs = [float(x) for x in np.concatenate([a * np.geomspace(1e-8, 0.45, 100),
+                                                a - a * np.geomspace(0.45, 1e-8, 100)])]
+        general = stationary._exp_neg_R(dataclasses.replace(fields, exp_neg_R=None))
+        with mp.workdps(30):
+            ref = _oracle_exp_neg_R(p, xs)
+            closed_err = max(abs(mp.mpf(fields.exp_neg_R(x)) / ref[x] - 1) for x in xs)
+            general_err = max(abs(mp.mpf(general(x)) / ref[x] - 1) for x in xs)
+        assert closed_err < 1e-13
+        # the fallback's tolerance on R (epsrel 1e-12) allows a few 1e-9 near the poles
+        assert general_err < 1e-8
+        assert closed_err <= general_err
+
+    def test_catalog_density_skips_the_nested_quadrature(self, monkeypatch):
+        calls = []
+        real = stationary.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stationary, "quad", counted)
+        p = BirthSwitchParams(b0=0.5, b1=2.0, c=1.0, mu=1.0, q0=1.0, q1=1.0)
+        dens = stationary_density(p.fields())
+        assert dens.is_integrable
+        # five ladder pieces and the alpha quadrature
+        assert len(calls) <= 6
+
+    def test_closed_form_only_with_numeric_rates(self):
+        assert gene_expr_q_fields().exp_neg_R is None
+        assert gene_like_system().exp_neg_R is None
+        assert BirthSwitchParams(0.5, 2.0, 1.0, 1.0, 1.0, lambda x: 1.0 + x).fields().exp_neg_R is None
+        assert GeneExpressionParams(P=2.0, mu=1.0, q0=0.7, q1=1.3).fields().exp_neg_R
+
+    def test_closed_form_outside_interval_rejected(self):
+        dens = stationary_density(ORACLE_CASES["gene"].fields())
+        for x in (0.0, 2.0, -0.1):
+            with pytest.raises(InvalidParam, match=r"defined on \(0, a\)"):
+                dens.fbar0(x)
+
+    # the general route's bits, recorded before the closed forms were added
+    @pytest.mark.parametrize("make,alpha,exponent", [
+        (gene_like_system, "4.000000000000001", "-1.0000000000000004"),
+        (gene_expr_q_fields, "4.16876244394998", "-1.000000214975782"),
+    ], ids=["gene_like", "gene_expression_q0_expr"])
+    def test_general_route_pinned(self, make, alpha, exponent):
+        dens = stationary_density(make())
+        assert repr(dens.alpha) == alpha
+        assert repr(dens.divergence_exponent) == exponent
 
 
 class TestClassify:

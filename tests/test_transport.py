@@ -27,7 +27,7 @@ from pdmpkit.errors import (
     InvalidParam,
     MassAuditError,
 )
-from pdmpkit.transport import coarsen_density
+from pdmpkit.transport import _audit, coarsen_density
 
 
 def bump(center, width):
@@ -423,3 +423,29 @@ class TestNonFinite:
         _blocks(dens)[block].flat[5] = math.nan
         with pytest.raises(MassAuditError, match="NaN"):
             solver.step(dens)
+
+
+class TestAuditScrub:
+    """The audit rewrites a block only when its minimum is not above 0."""
+
+    def _density(self):
+        return density_from(Grid1D(0.0, 1.0, 32), [lambda x: 1.0 + x, lambda x: 2.0 - x])
+
+    def test_positive_block_keeps_its_bits(self):
+        dens = self._density()
+        before = dens.values.tobytes()
+        dens.values.flags.writeable = False     # a scrub would raise here
+        _audit(dens, "switching")
+        assert dens.values.tobytes() == before
+
+    def test_negative_zero_comes_out_positive(self):
+        # a block whose minimum is 0.0 may still hold -0.0, which the CSV
+        # would print as "-0.0"; the scrub must still run on it
+        dens = self._density()
+        dens.values[0, 3] = 0.0
+        dens.values[1, 5] = -0.0
+        dens.initial_mass = dens.mass()
+        before = dens.values.copy()
+        _audit(dens, "switching")
+        assert np.array_equal(dens.values, before)
+        assert not np.signbit(dens.values).any()
