@@ -358,12 +358,14 @@ class GeneExpressionParams:
 
     def fields(self) -> SwitchingFields:
         """Off: x' = -mu x; on: x' = P - mu x; invariant interval (0, P/mu).
-        With numeric q, exp(-R) = (x/m)^(q0/mu) ((a-x)/(a-m))^(q1/mu), m = a/2."""
+        With numeric q, exp(-R) = (x/m)^(q0/mu) ((a-x)/(a-m))^(q1/mu), m = a/2,
+        summed in logs so that no factor overflows where the product does not."""
         P, mu, a = self.P, self.mu, self.x_max
         exp_neg_R = None
         if not (callable(self.q0) or callable(self.q1)):
             m, k0, k1 = 0.5 * a, float(self.q0) / mu, float(self.q1) / mu
-            exp_neg_R = lambda x: (x / m) ** k0 * ((a - x) / (a - m)) ** k1
+            exp_neg_R = lambda x: math.exp(k0 * math.log(x / m)
+                                           + k1 * math.log((a - x) / (a - m)))
         return SwitchingFields(g0=lambda x: -mu * x, g1=lambda x: P - mu * x,
                                q0=_scalar_fn(self.q0), q1=_scalar_fn(self.q1),
                                dg0=lambda x: -mu, dg1=lambda x: -mu, a=a,
@@ -534,15 +536,17 @@ class BirthSwitchParams:
 
     def fields(self) -> SwitchingFields:
         """x' = (rho_i - c x) x with rho_i = b_i - mu; invariant interval (0, a].
-        With numeric q, partial fractions give exp(-R) as the product over i of
-        ((x/m) |rho_i - c m| / |rho_i - c x|)^(-q_i/rho_i), m = a/2."""
+        With numeric q, exp(-R) = prod_i ((x/m) |rho_i - c m| / |rho_i - c x|)^k_i,
+        k_i = -q_i/rho_i, m = a/2, summed in logs with the x/m powers joined, so
+        that no term overflows where the product does not."""
         c, rho0, rho1, a = self.c, self.b0 - self.mu, self.b1 - self.mu, self.attractor_end
         exp_neg_R = None
         if not (callable(self.q0) or callable(self.q1)):
             m, k0, k1 = 0.5 * a, -float(self.q0) / rho0, -float(self.q1) / rho1
             d0, d1 = abs(rho0 - c * m), abs(rho1 - c * m)
-            exp_neg_R = lambda x: (((x / m) * d0 / abs(rho0 - c * x)) ** k0
-                                   * ((x / m) * d1 / abs(rho1 - c * x)) ** k1)
+            exp_neg_R = lambda x: math.exp((k0 + k1) * math.log(x / m)
+                                           + k0 * math.log(d0 / abs(rho0 - c * x))
+                                           + k1 * math.log(d1 / abs(rho1 - c * x)))
         return SwitchingFields(g0=lambda x: (rho0 - c * x) * x, g1=lambda x: (rho1 - c * x) * x,
                                q0=_scalar_fn(self.q0), q1=_scalar_fn(self.q1),
                                dg0=lambda x: rho0 - 2.0 * c * x,

@@ -29,8 +29,8 @@ def _report(num, name, t0, extra=""):
 
 REPORT_SHA256 = {
     "c1": "2859c53230e57713d9123933606f4e42795d7f5886afb3578eb7293daa894252",
-    "c2": "166d9d4a9ff709151527510dd602ccc40b60f64eeebbb41335d22237247722ca",
-    "c3": "3c8a040e061eab2a7710c17bef9015cc8bf1e2f865acd3470740c6a14aa330ea",
+    "c2": "46d07c887acd73a78f9cc9cb55323e5dd2f93e738b14c24b4f8af691c791dcb3",
+    "c3": "365fb93456d27df92d8f278351812c7cef9d57220c3f5a55c30d608a8557f249",
     "c4": "8a6db5bdff2e7590a8f4a4f619ca5696242dc0bc7101558faf12bfc2b9dc2f2f",
     "c5": "8e7a69a1b16cc27ae7f4c849c502a4ccfd63c4cd357998e812bcec02440fe916",
     "c6": "6ef0fdba270ff3151d5e3ed428f91e927e308c62a9c88d3696c6f2fb4925c048",

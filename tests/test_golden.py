@@ -227,15 +227,15 @@ GOLDEN = {
         "report.json": "035f5f3132d4a11ea4952443808d4689a6266b15e9d0d94254f19c3e86e1f367",
     },
     "config:demo_classify_stable": {
-        "report.json": "a2d1060bca1b85f65eb31087fcd6abdb9c12adbb2f191fefd5fb82ca30aa0c46",
+        "report.json": "1ad6c01ebaa79265afe281eb70aa3b1b0c993cdbc3fa46f422ce0c36931313aa",
     },
     "config:demo_gene_evolve": {
         "density.csv": "9557797b622214e2b549a8c68276f2292bdfef54723798ff8ecd3ad2a4fab552",
         "summary.json": "910723ffd5d897f38b428a101d6e1b875e18aaa27677dc1c44f475dba4aa23c2",
     },
     "config:demo_gene_stationary": {
-        "fstar.csv": "7e3ea72d508a03e4f9a6fdeddce01e93c3d05d06929d88f91f8ffd8edfd9ec8b",
-        "report.json": "1206a055d0c3b4991369e2ed5020a8ef6d6eaca95bf5bf77e64d44e09e432c33",
+        "fstar.csv": "ef6939d2b276fa08132c9e38e4082ab426afb791f5fec79dbe292e613a4d4761",
+        "report.json": "67e2d6aac61e63bf14ef74cdf0255c2e0797c9082e010de3dd87a8503922ba86",
     },
     "config:demo_population": {
         "events.csv": "8708cb0207b3d05b48f9dd4e4b7e1a33c451d97655a6297f668e885d87e06b62",
@@ -300,8 +300,8 @@ GOLDEN = {
         "summary.json": "448612d8207ea82f5bc7b30f44eba7cc68b932f8c5d830ff7b9409367bbc5866",
     },
     "stationary:birth_switch_stable": {
-        "fstar.csv": "911022c1386a880bef1826847cae397e18887d0288323b602068b557b7682914",
-        "report.json": "a2d1060bca1b85f65eb31087fcd6abdb9c12adbb2f191fefd5fb82ca30aa0c46",
+        "fstar.csv": "b09b7c6a3439cc19eee46b8c37c277484d4c5b1cbbdde9c1267eafa68a398a06",
+        "report.json": "1ad6c01ebaa79265afe281eb70aa3b1b0c993cdbc3fa46f422ce0c36931313aa",
     },
     "library:remainder_steps": {
         "cell_cycle.scalars": "f3395933ddb52926f8c220671b4cfb69c858f540532b1972e98a820355dc3d70",

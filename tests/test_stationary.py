@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -19,9 +19,9 @@ from pdmpkit import (
     classify_density,
     gene_switching_system,
     hormander_check,
+    stationary,
     stationary_density,
 )
-from pdmpkit import stationary
 from pdmpkit.config import gene_params
 from pdmpkit.errors import DerivativeDegenerate, InvalidParam
 
@@ -181,7 +181,8 @@ class TestExpNegR:
     def test_closed_form_only_with_numeric_rates(self):
         assert gene_expr_q_fields().exp_neg_R is None
         assert gene_like_system().exp_neg_R is None
-        assert BirthSwitchParams(0.5, 2.0, 1.0, 1.0, 1.0, lambda x: 1.0 + x).fields().exp_neg_R is None
+        expr_q1 = BirthSwitchParams(0.5, 2.0, 1.0, 1.0, 1.0, lambda x: 1.0 + x)
+        assert expr_q1.fields().exp_neg_R is None
         assert GeneExpressionParams(P=2.0, mu=1.0, q0=0.7, q1=1.3).fields().exp_neg_R
 
     def test_closed_form_outside_interval_rejected(self):
@@ -229,6 +230,7 @@ class TestClassify:
 
     @settings(max_examples=10, deadline=None)
     @given(kappa=st.floats(0.05, 20.0))
+    @example(kappa=20.0)    # e^{-R} spans ~1e±300 over the ladder: no factor may overflow
     def test_verdict_invariant_under_common_intensity_scaling(self, kappa):
         for b0, b1, expected in ((0.5, 2.0, "Stable"), (0.2, 1.5, "Sweeping")):
             p = BirthSwitchParams(b0=b0, b1=b1, c=1.0, mu=1.0,
