@@ -220,8 +220,7 @@ def _jump_sampler(spec: dict) -> Callable:
 def _closed_form_expr(model: dict):
     if "g_closed_form" not in model:
         return None
-    fn = compile_expr(model["g_closed_form"], variables=("t", "x0"))
-    return lambda t, x0: fn(t, x0)
+    return compile_expr(model["g_closed_form"], variables=("t", "x0"))
 
 
 def build_model(model: dict) -> PdmpModel:

@@ -12,7 +12,7 @@ import ast
 import math
 from typing import Callable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParam
 
 _FUNCS = {
     "exp": math.exp,
@@ -37,7 +37,7 @@ _ALLOWED_NODES = (
 
 
 def compile_expr(src: str, variables: Sequence[str] = ("x",)) -> Callable[..., float]:
-    """Compile a whitelisted arithmetic expression into a positional callable."""
+    """Compile a whitelisted arithmetic expression into a positional function."""
     if not isinstance(src, str) or not src.strip():
         raise ConfigError("expression must be a nonempty string")
     try:
@@ -61,13 +61,20 @@ def compile_expr(src: str, variables: Sequence[str] = ("x",)) -> Callable[..., f
                 raise ConfigError(f"unknown name {node.id!r} in {src!r}; "
                                   f"variables here are {tuple(variables)}")
 
-    code = compile(tree, filename="<expr>", mode="eval")
-    namespace = {**_FUNCS, **_CONSTS}
+    def fail(exc, *at):
+        where = ", ".join(f"{v}={a}" for v, a in zip(variables, at))
+        raise InvalidParam(f"expression {src!r} failed at {where}: {exc}") from exc
 
-    def fn(*args: float) -> float:
-        local = dict(zip(variables, args))
-        return float(eval(code, {"__builtins__": {}}, {**namespace, **local}))
-
+    # the checked tree becomes the body of one real function; a TypeError (an
+    # array argument) passes through, other evaluation errors become InvalidParam
+    args = ", ".join(variables)
+    fdef = ast.parse(f"def _expr({args}):\n try: return _float(_body)\n"
+                     f" except _RAISES as exc: _fail(exc, {args})").body[0]
+    fdef.body[0].body[0].value.args = [tree.body]
+    scope = {"__builtins__": {}, **_FUNCS, **_CONSTS, "_float": float,
+             "_RAISES": (ArithmeticError, ValueError), "_fail": fail}
+    exec(compile(ast.Module([fdef], []), "<expr>", "exec"), scope)
+    fn = scope["_expr"]
     fn.source = src  # type: ignore[attr-defined]
     return fn
 

@@ -703,7 +703,7 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
     def aug_rhs(s, y):
         xs = y[:-1]
         growth = np.array([g(x) for x in xs])
-        lam = math.fsum(rates(x)[0] + rates(x)[1] for x in xs)
+        lam = math.fsum(rb + rd for rb, rd in map(rates, xs))
         return np.append(growth, lam)
 
     while sizes:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DerivativeDegenerate,
+    DivergentIntegral,
     InvalidParam,
     QuadratureFailure,
 )
@@ -54,10 +55,13 @@ def _exp_neg_R(fields: SwitchingFields) -> Callable[[float], float]:
     def e(x: float) -> float:
         if not 0.0 < x < a:
             raise InvalidParam("stationary density is defined on (0, a)")
-        if closed is not None:
-            return closed(x)
-        val, err = quad(r, x_mid, x, limit=200, epsabs=1e-13, epsrel=1e-12)
-        return math.exp(-val)
+        try:
+            if closed is not None:
+                return closed(x)
+            val, err = quad(r, x_mid, x, limit=200, epsabs=1e-13, epsrel=1e-12)
+            return math.exp(-val)
+        except OverflowError as exc:
+            raise DivergentIntegral(f"exp(-R) at x = {x} leaves the double range") from exc
 
     return e
 

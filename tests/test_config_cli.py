@@ -1,9 +1,12 @@
 """Config validation, expression safety, round-trips, and CLI behavior."""
 
+import ast
+import importlib.util
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmpkit.cli import main, run
@@ -14,8 +17,60 @@ from pdmpkit.config import (
     population_spec,
     validate_config,
 )
+from pdmpkit import exprs
 from pdmpkit.errors import ConfigError, InvalidParam
 from pdmpkit.exprs import compile_expr, rate_from_config
+
+TESTS = Path(__file__).resolve().parent
+EXPR_KEYS = {"g", "phi", "q0", "q1", "q01", "q10", "b", "d", "g_closed_form"}
+CLOSED_FORM = ("t", "x0")
+# the expression shapes of the perfbench routes, with typical jittered numbers
+ROUTE_SHAPES = ("1.03 + 0.97 * x", "1.07 * x", "x0 * exp(1.07 * t)", "0.93 * x")
+
+
+def _eval_reference(src, variables):
+    """The evaluation route before compiled functions: ``eval`` in a merged namespace."""
+    code = compile(ast.parse(src, mode="eval"), filename="<expr>", mode="eval")
+    namespace = {**exprs._FUNCS, **exprs._CONSTS}
+
+    def fn(*args):
+        local = dict(zip(variables, args))
+        return float(eval(code, {"__builtins__": {}}, {**namespace, **local}))
+    return fn
+
+
+def _expression_strings(node, key=None):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _expression_strings(v, k)
+    elif isinstance(node, (list, tuple)):
+        for v in node:
+            yield from _expression_strings(v, key)
+    elif isinstance(node, str) and key in EXPR_KEYS:
+        yield key, node
+
+
+def _all_expressions():
+    spec = importlib.util.spec_from_file_location("golden_cases", TESTS / "test_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    sources = [load_config(p) for p in sorted(golden.CONFIG_DIR.glob("*.yaml"))]
+    sources += [golden.EVOLVE, golden.SIMULATE, golden.ANALYSIS]
+    found = {pair for src in sources for pair in _expression_strings(src)}
+    found |= {("g_closed_form" if "t" in s else "g", s) for s in ROUTE_SHAPES}
+    return sorted({(src, CLOSED_FORM if key == "g_closed_form" else ("x",))
+                   for key, src in found})
+
+
+def _inputs(n_vars, n=10_000):
+    rng = np.random.default_rng(9)
+    cols = []
+    for _ in range(n_vars):
+        col = list(rng.uniform(0.0, 4.0, n // 2))              # Python floats
+        col += list(np.float64(v) for v in rng.uniform(0.0, 4.0, n // 4))
+        col += [int(k) for k in rng.integers(0, 9, n - len(col))]   # integer-valued results
+        cols.append(col)
+    return list(zip(*cols))
 
 
 class TestExpressions:
@@ -44,6 +99,51 @@ class TestExpressions:
     def test_rejects_unsafe_or_malformed(self, bad):
         with pytest.raises(ConfigError):
             compile_expr(bad)
+
+    @pytest.mark.parametrize("src,variables", [
+        pytest.param(src, variables, id=f"{src} ({', '.join(variables)})")
+        for src, variables in _all_expressions()])
+    def test_compiled_matches_eval_bit_for_bit(self, src, variables):
+        fn, ref = compile_expr(src, variables), _eval_reference(src, variables)
+        assert fn.source == src
+        inputs = _inputs(len(variables))
+        got = [fn(*args) for args in inputs]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [ref(*args).hex() for args in inputs]
+
+    def test_expression_set_covers_configs_goldens_and_routes(self):
+        found = dict(_all_expressions())
+        assert {"x", "1 + x", "0.5 * x", "x0 * exp(t)", *ROUTE_SHAPES} <= set(found)
+        assert found["x0 * exp(t)"] == CLOSED_FORM and found["x"] == ("x",)
+
+    @pytest.mark.parametrize("bad", ["_float(x)", "__builtins__", "_body", "_fail(x, x)",
+                                     "_RAISES", "float(x)", "exc"])
+    def test_rejects_the_compiled_function_internals(self, bad):
+        with pytest.raises(ConfigError):
+            compile_expr(bad)
+
+    @pytest.mark.parametrize("src,args,match", [
+        ("log(x - 0.5)", (0.3,), r"'log\(x - 0.5\)' failed at x=0.3: math domain error"),
+        ("1 / x", (0,), "failed at x=0: division by zero"),
+        ("exp(x)", (1000.0,), "math range error"),
+        ("x ** 0.5 + sqrt(x - 1)", (0.5,), "failed at x=0.5"),
+    ])
+    def test_evaluation_errors_are_typed(self, src, args, match):
+        with pytest.raises(InvalidParam, match=match):
+            compile_expr(src)(*args)
+
+    def test_two_variable_error_names_both(self):
+        fn = compile_expr("x0 * log(t)", variables=CLOSED_FORM)
+        with pytest.raises(InvalidParam, match=r"failed at t=-1.0, x0=2.0"):
+            fn(-1.0, 2.0)
+
+    def test_array_arguments_still_raise_type_error(self):
+        # models._vector_rate_along probes closed forms with arrays of times
+        fn = compile_expr("x0 * exp(t)", variables=CLOSED_FORM)
+        with pytest.raises(TypeError):
+            fn(np.array([0.1, 0.2]), 1.0)
+        with pytest.raises(TypeError):
+            compile_expr("2 * x")(np.array([1.0, 2.0]))
 
     def test_rate_from_config(self):
         assert rate_from_config(2.5, "q0") == 2.5
@@ -358,6 +458,27 @@ class TestCli:
         assert err["kind"] == "ModelError"
         assert "finite" in err["message"]
         assert not (tmp_path / "o" / "density.csv").exists()
+
+    def test_expression_error_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "log.yaml"
+        bad.write_text('command: simulate\nmodel: {name: gene_expression, P: 1, mu: 1,'
+                       ' q0: "log(x - 0.5)", q1: 1}\n'
+                       "simulate: {x0: [0.3], regime0: 0, horizon: 5.0}\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["kind"] == "ModelError"
+        assert "'log(x - 0.5)' failed at x=" in err["message"]
+
+    def test_exp_neg_R_overflow_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "near_critical.yaml"
+        bad.write_text("command: classify\nmodel: {name: birth_switch, b0: 0.5,"
+                       " b1: 1.01, c: 1, mu: 1, q0: 1, q1: 1}\n")
+        code = main(["--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["kind"] == "DivergentIntegral"
+        assert "double range" in err["message"]
 
     def test_command_conflict_rejected(self, config_dir, tmp_path, capsys):
         code = main(["simulate",

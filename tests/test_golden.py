@@ -1,12 +1,13 @@
 """Byte-level regression guard: SHA-256 of every artifact of a fixed set of runs.
 
 The digests pin five fast shipped configs plus one tiny ``evolve`` run per
-grid-solver model and seven ``simulate`` runs: unrecorded telegraph and
+grid-solver model and nine ``simulate`` runs: unrecorded telegraph and
 logistic birth_switch ensembles (constant-rate route) and recorded runs of
 gene_expression with a state-dependent rate (thinning route), rubinow with and
 without a closed-form flow (bracketed root-finding and ODE event boundary
-hits), allee (RK45 flow) and cell_cycle_1p without a closed form (augmented-ODE
-inverse of the cumulative hazard).  Two birth_switch analysis runs pin the
+hits), allee (RK45 flow), cell_cycle_1p without a closed form (augmented-ODE
+inverse of the cumulative hazard) and with one (Chebyshev-panel inverse), and
+cell_cycle_2p with a closed-form flow and a fixed phase-B delay.  Two birth_switch analysis runs pin the
 ``stationary`` command on a stable set (the r0 route, which writes
 ``fstar.csv``) and ``classify`` on a sweeping set.  Five library cases pin
 the raw bytes of grid-solver arrays on paths the CLI runs do not reach: a
@@ -109,6 +110,16 @@ SIMULATE = {
         "model": {"name": "cell_cycle_1p", "g": "x", "phi": "x"},
         "simulate": {"x0": [1.0], "regime0": 0, "horizon": 2.0, "n_paths": 1,
                      "snapshot_times": [1.0, 2.0]}},
+    "recorded:cell_cycle_1p_cheb": {
+        "model": {"name": "cell_cycle_1p", "g": "x", "phi": "x",
+                  "g_closed_form": "x0 * exp(t)"},
+        "simulate": {"x0": [1.0], "regime0": 0, "horizon": 3.0, "n_paths": 2,
+                     "snapshot_times": [1.0, 3.0]}},
+    "recorded:cell_cycle_2p": {
+        "model": {"name": "cell_cycle_2p", "g": "0.6 * x", "phi": 1.0, "t_B": 0.5,
+                  "g_closed_form": "x0 * exp(0.6 * t)"},
+        "simulate": {"x0": [1.0, 0.0], "regime0": 0, "horizon": 4.0, "n_paths": 2,
+                     "snapshot_times": [1.0, 4.0]}},
 }
 
 
@@ -294,6 +305,16 @@ GOLDEN = {
         "snapshots.csv": "bc7c5bd4d00f78a6492606ec32c408bf6df841d6bf0bcff95cdb4dbabe5339aa",
         "summary.json": "cf366d7037599866d55813671622629288f019093fecd85502c68cc8906ab10c",
         "trajectories.csv": "f2b625298f656837c76a422505718a61d53e8872d59c1f9d4fd1a5b90919aee4",
+    },
+    "recorded:cell_cycle_1p_cheb": {
+        "snapshots.csv": "bb3fc82e4387800ce3e60a42a9202b93c93cbeae6dcac025a1c38f8042c8be42",
+        "summary.json": "6f552f958c6ac443f40ec305064077fe264f87045bb67226fa5079ba7b0f50e8",
+        "trajectories.csv": "51751ff1d55431ad4867be1b11c31e6a4ffe2b0a26853d44df8eea2bc59cb67c",
+    },
+    "recorded:cell_cycle_2p": {
+        "snapshots.csv": "cc7951408c1bbe724c6ab27d32d367edd55a18608069b2e3355cd37306982a02",
+        "summary.json": "f491d39bcfada05ac442412eac1c2246d8ba4e40b3dc8982a3facf8fa2a00957",
+        "trajectories.csv": "e08ffe01847ac73e035d9686a2ee4fe77d647dba53fdb02f1a9cacae3427b802",
     },
     "evolve:telegraph": {
         "density.csv": "8f2fe611a21a313ac0efc048cd56495bb9596483ece12a9bc9871c6bb528fe69",

@@ -23,7 +23,7 @@ from pdmpkit import (
     stationary_density,
 )
 from pdmpkit.config import gene_params
-from pdmpkit.errors import DerivativeDegenerate, InvalidParam
+from pdmpkit.errors import DerivativeDegenerate, DivergentIntegral, InvalidParam
 
 
 def gene_like_system():
@@ -249,6 +249,13 @@ class TestClassify:
             # away from criticality the numeric route is decisive and agrees
             assert math.isfinite(rep.alpha) == (rep.r0 < 0)
             assert rep.divergence_exponent == pytest.approx(rep.r0, abs=5e-3)
+
+    def test_exp_neg_R_out_of_double_range_is_typed(self):
+        # r0 = 1/(-0.5) + 1/0.01 = 98: scaled to 1 at a/2, e^{-R} passes 1e308
+        # on the integrability ladder
+        p = BirthSwitchParams(b0=0.5, b1=1.01, c=1.0, mu=1.0, q0=1.0, q1=1.0)
+        with pytest.raises(DivergentIntegral, match="leaves the double range"):
+            classify(birth_switch_system(p))
 
     def test_degenerate_derivative_raises(self):
         fields = SwitchingFields(
