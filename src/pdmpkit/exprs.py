@@ -37,7 +37,7 @@ _ALLOWED_NODES = (
 
 
 def compile_expr(src: str, variables: Sequence[str] = ("x",)) -> Callable[..., float]:
-    """Compile a whitelisted arithmetic expression into a positional function."""
+    """Compile a whitelisted arithmetic expression into a positional callable."""
     if not isinstance(src, str) or not src.strip():
         raise ConfigError("expression must be a nonempty string")
     try:
@@ -74,7 +74,7 @@ def compile_expr(src: str, variables: Sequence[str] = ("x",)) -> Callable[..., f
     scope = {"__builtins__": {}, **_FUNCS, **_CONSTS, "_float": float,
              "_RAISES": (ArithmeticError, ValueError), "_fail": fail}
     exec(compile(ast.Module([fdef], []), "<expr>", "exec"), scope)
-    fn = scope["_expr"]
+    fn = scope.pop("_expr")   # no cycle through __globals__: freed by refcount
     fn.source = src  # type: ignore[attr-defined]
     return fn
 
