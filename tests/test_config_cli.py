@@ -25,7 +25,8 @@ TESTS = Path(__file__).resolve().parent
 EXPR_KEYS = {"g", "phi", "q0", "q1", "q01", "q10", "b", "d", "g_closed_form"}
 CLOSED_FORM = ("t", "x0")
 # the expression shapes of the perfbench routes, with typical jittered numbers
-ROUTE_SHAPES = ("1.03 + 0.97 * x", "1.07 * x", "x0 * exp(1.07 * t)", "0.93 * x")
+ROUTE_SHAPES = (("q0", "1.03 + 0.97 * x"), ("g", "1.07 * x"),
+                ("g_closed_form", "x0 * exp(1.07 * t)"), ("phi", "0.93 * x"))
 
 
 def _eval_reference(src, variables):
@@ -57,7 +58,7 @@ def _all_expressions():
     sources = [load_config(p) for p in sorted(golden.CONFIG_DIR.glob("*.yaml"))]
     sources += [golden.EVOLVE, golden.SIMULATE, golden.ANALYSIS]
     found = {pair for src in sources for pair in _expression_strings(src)}
-    found |= {("g_closed_form" if "t" in s else "g", s) for s in ROUTE_SHAPES}
+    found |= set(ROUTE_SHAPES)
     return sorted({(src, CLOSED_FORM if key == "g_closed_form" else ("x",))
                    for key, src in found})
 
@@ -113,7 +114,8 @@ class TestExpressions:
 
     def test_expression_set_covers_configs_goldens_and_routes(self):
         found = dict(_all_expressions())
-        assert {"x", "1 + x", "0.5 * x", "x0 * exp(t)", *ROUTE_SHAPES} <= set(found)
+        assert {"x", "1 + x", "0.5 * x", "x0 * exp(t)"} <= set(found)
+        assert {src for _, src in ROUTE_SHAPES} <= set(found)
         assert found["x0 * exp(t)"] == CLOSED_FORM and found["x"] == ("x",)
 
     @pytest.mark.parametrize("bad", ["_float(x)", "__builtins__", "_body", "_fail(x, x)",
