@@ -25,10 +25,6 @@ class HorizonExceeded(PdmpError):
         self.cumulative = cumulative
 
 
-class MissingBound(PdmpError):
-    """Thinning was requested for a hazard without an upper bound."""
-
-
 class DivergentIntegral(PdmpError):
     """An adaptive quadrature did not converge near an endpoint."""
 

@@ -18,7 +18,6 @@ from .errors import (
     DivergentIntegral,
     HorizonExceeded,
     InvalidParam,
-    MissingBound,
     NonFinite,
 )
 from .lazy import PchipInterpolator, brentq, quad, solve_ivp
@@ -132,6 +131,19 @@ def _as_state(x0, dim: int) -> Array:
     return x
 
 
+def _rk45(rhs, t_end: float, y0: Array, caller: str, **kw):
+    """The one RK45 set-up: ``y' = rhs(s, y)`` on [0, t_end] at the flow
+    tolerances; a failed solve raises NonFinite naming ``caller``."""
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, **kw)
+    if not sol.success:
+        raise NonFinite(f"{caller} failed: {sol.message}")
+    return sol
+
+
+def _flow_rhs(flow: Flow):
+    return lambda s, y: np.asarray(flow.rhs(y), dtype=float)
+
+
 def flow_evolve(flow: Flow, x0, t: float) -> Array:
     """Return the flow position after time ``t >= 0`` starting from ``x0``."""
     if t < 0:
@@ -145,16 +157,9 @@ def flow_evolve(flow: Flow, x0, t: float) -> Array:
             raise NonFinite(f"closed-form flow produced non-finite state at t={t:.6g}")
         return out
 
-    sol = solve_ivp(
-        lambda s, y: np.asarray(flow.rhs(y), dtype=float),
-        (0.0, t),
-        x,
-        method="RK45",
-        rtol=TOL_FLOW,
-        atol=ATOL_FLOW,
-    )
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        raise NonFinite(f"flow integration failed: {sol.message}")
+    sol = _rk45(_flow_rhs(flow), t, x, "flow integration")
+    if not np.all(np.isfinite(sol.y[:, -1])):
+        raise NonFinite("flow integration produced a non-finite state")
     return sol.y[:, -1].copy()
 
 
@@ -178,17 +183,8 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> Cumula
     if t_max == 0.0:
         return CumulativeHazard(ts=ts, values=np.zeros_like(ts))
 
-    sol = solve_ivp(
-        _augmented_rhs(flow, hz),
-        (0.0, t_max),
-        np.append(x, 0.0),
-        method="RK45",
-        rtol=TOL_FLOW,
-        atol=ATOL_FLOW,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise NonFinite(f"hazard integration failed: {sol.message}")
+    sol = _rk45(_augmented_rhs(flow, hz), t_max, np.append(x, 0.0), "hazard integration",
+                dense_output=True)
     values = sol.sol(ts)[-1]
     if not np.all(np.isfinite(values)):
         raise NonFinite("hazard integration produced non-finite values")
@@ -323,12 +319,16 @@ def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: Array, xi: float, hori
     raise HorizonExceeded(horizon, acc)
 
 
-def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float) -> float:
-    """Invert the cumulative hazard by integrating the augmented ODE in chunks."""
-    rhs = _augmented_rhs(flow, hz)
-    x = x0.copy()
+def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float):
+    """Integrate the augmented ODE ``rhs`` for (x, cumulative hazard) from
+    absolute time ``t0`` on chunks of doubling length from 1, capped at
+    ``horizon``, each chunk ending early where the cumulative hazard reaches
+    ``xi``.  Yields (chunk start, chunk end, dense solution); the chunk that
+    crossed has an entry in ``t_events[0]``.  Raises :class:`HorizonExceeded`
+    when the horizon comes first."""
+    x = x0
     acc = 0.0
-    t_lo = 0.0
+    t_lo = t0
     span = 1.0
     while t_lo < horizon:
         t_hi = min(t_lo + span, horizon)
@@ -338,27 +338,31 @@ def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: flo
         _cross.terminal = True
         _cross.direction = 1
 
-        sol = solve_ivp(rhs, (0.0, t_hi - t_lo), np.append(x, 0.0),
-                        method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, events=[_cross])
-        if not sol.success:
-            raise NonFinite(f"hazard integration failed: {sol.message}")
-        if sol.t_events[0].size:
-            return t_lo + float(sol.t_events[0][0])
-        x = sol.y[:-1, -1].copy()
+        sol = _rk45(rhs, t_hi - t_lo, np.append(x, 0.0), "hazard integration",
+                    dense_output=True, events=[_cross])
+        yield t_lo, t_hi, sol
+        x = sol.y[:-1, -1]
         acc += float(sol.y[-1, -1])
         t_lo = t_hi
         span = min(2.0 * span, horizon)
     raise HorizonExceeded(horizon, acc)
 
 
+def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float) -> float:
+    """Invert the cumulative hazard by integrating the augmented ODE in chunks."""
+    for t_lo, _, sol in hazard_chunks(_augmented_rhs(flow, hz), x0, 0.0, horizon, xi):
+        if sol.t_events[0].size:
+            return t_lo + float(sol.t_events[0][0])
+
+
 def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
-                     method: str = "auto", horizon: float = HORIZON_CAP) -> float:
+                     horizon: float = HORIZON_CAP) -> float:
     """Draw a jump time with law F(t) = 1 - exp(-int_0^t rate(x(s)) ds).
 
-    ``method``: "inverse" integrates the cumulative hazard until it crosses an
-    Exp(1) level and refines the crossing to ``TOL_EVENT``; "thinning" rejects
-    Exp(upper_bound) proposals; "auto" uses the constant-rate shortcut, then
-    thinning when an upper bound exists, then inverse transform.
+    The hazard picks the route: a constant rate draws an exponential; a hazard
+    with ``upper_bound`` thins Exp(upper_bound) proposals; any other inverts
+    the cumulative hazard at an Exp(1) level, refining the crossing to
+    ``TOL_EVENT``.
 
     Raises :class:`HorizonExceeded` when the hazard never accumulates enough
     mass before ``horizon`` (including rate-zero traps).
@@ -368,7 +372,7 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
     x = _as_state(x0, flow.dim)
     xi = rng.exponential()
 
-    if hz.const_rate is not None and method in ("auto", "inverse", "thinning"):
+    if hz.const_rate is not None:
         lam = hz.const_rate
         if lam == 0.0:
             raise HorizonExceeded(horizon, 0.0)
@@ -377,13 +381,8 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
             raise HorizonExceeded(horizon, lam * horizon)
         return tau
 
-    if method == "auto":
-        method = "thinning" if hz.upper_bound is not None else "inverse"
-
-    if method == "thinning":
-        ub = hz.upper_bound
-        if ub is None:
-            raise MissingBound("thinning requires Hazard.upper_bound")
+    ub = hz.upper_bound
+    if ub is not None:
         if ub <= 0:
             raise HorizonExceeded(horizon, 0.0)
         t = 0.0
@@ -402,12 +401,9 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
             if rng.uniform() * ub <= r:
                 return t
 
-    if method == "inverse":
-        if flow.closed_form is not None:
-            return _inverse_time_closed_form(flow, hz, x, xi, horizon)
-        return _inverse_time_ode(flow, hz, x, xi, horizon)
-
-    raise InvalidParam(f"unknown sampling method {method!r}")
+    if flow.closed_form is not None:
+        return _inverse_time_closed_form(flow, hz, x, xi, horizon)
+    return _inverse_time_ode(flow, hz, x, xi, horizon)
 
 
 def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
@@ -448,10 +444,7 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
         return event_fn(y)
     _hit.terminal = True
     _hit.direction = 0
-    sol = solve_ivp(lambda s, y: np.asarray(flow.rhs(y), dtype=float), (0.0, t_max), x,
-                    method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, events=[_hit])
-    if not sol.success:
-        raise NonFinite(f"boundary detection failed: {sol.message}")
+    sol = _rk45(_flow_rhs(flow), t_max, x, "boundary detection", events=[_hit])
     if sol.t_events[0].size:
         t_hit = float(sol.t_events[0][0])
         return t_hit if t_hit > 0.0 else None

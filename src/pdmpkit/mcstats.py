@@ -9,8 +9,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptySample, GridMismatch, InvalidParam
-from .flows import flow_evolve
-from .process import PdmpModel, iter_events
+from .flows import flow_evolve  # unused; the benchmark tracer patches this binding
+from .process import PdmpModel, read_path
 from .transport import DensityGrid, Grid1D
 
 Array = np.ndarray
@@ -52,7 +52,7 @@ def empirical_density(samples, grid: Grid1D, regimes=None, n_regimes: int = 1) -
                      out_of_range=int(xs.size - n_in), density=density)
 
 
-def _density_values(obj, grid: Grid1D, n_regimes: int) -> Array:
+def _density_values(obj, grid: Grid1D) -> Array:
     if isinstance(obj, Histogram):
         if not obj.grid.same_as(grid):
             raise GridMismatch("histograms live on different grids")
@@ -79,8 +79,8 @@ def l1_distance(a, b) -> float:
     callables evaluated at cell centers.
     """
     grid = a.grid if isinstance(a, (Histogram, DensityGrid)) else b.grid
-    va = _density_values(a, grid, 0)
-    vb = _density_values(b, grid, 0)
+    va = _density_values(a, grid)
+    vb = _density_values(b, grid)
     if va.shape != vb.shape:
         raise GridMismatch(f"regime counts differ: {va.shape} vs {vb.shape}")
     return float(np.abs(va - vb).sum()) * grid.h
@@ -180,24 +180,17 @@ def occupation_samples(model: PdmpModel, x0, regime0: int, horizon: float,
     state component is read off every ``delta`` time units, which estimates
     the occupation measure.
     """
+    def ticks():
+        t_s = 0.5 * horizon
+        while t_s <= horizon:
+            yield t_s
+            t_s += delta
+
     xs: list = []
     regs: list = []
-    t_seg = 0.0
-    x_seg = np.atleast_1d(np.asarray(x0, dtype=float))
-    reg = int(regime0)
-    t_s = 0.5 * horizon
-    for t_jump, reg_pre, ev in iter_events(model, x_seg, reg, rng, horizon):
-        flow = model.regimes[reg_pre].flow
-        while t_s <= t_jump:
-            xs.append(float(flow_evolve(flow, x_seg, t_s - t_seg)[0]))
-            regs.append(reg_pre)
-            t_s += delta
-        t_seg, x_seg, reg = t_jump, ev.state_post, ev.regime_post
-    flow = model.regimes[reg].flow
-    while t_s <= horizon:
-        xs.append(float(flow_evolve(flow, x_seg, t_s - t_seg)[0]))
+    for x, reg in read_path(model, x0, regime0, rng, horizon, ticks()):
+        xs.append(float(x[0]))
         regs.append(reg)
-        t_s += delta
     if not xs:
         raise EmptySample("no occupation samples collected; lower delta")
     return np.asarray(xs), np.asarray(regs, dtype=np.int64)

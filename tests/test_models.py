@@ -439,6 +439,34 @@ class TestPopulation:
             pk.simulate_population(None, 5.0, 0.0, [1.0], 10.0, pk.path_rng(56, 0),
                                    max_cells=64)
 
+    def test_frozen_sizes_evaluate_b_once_per_new_cell(self):
+        calls = []
+        b = lambda x: calls.append(x) or 1.0
+        res = pk.simulate_population(None, b, 0.5, [1.0, 2.0, 3.0], 1.0, pk.path_rng(60, 0))
+        n_div = sum(ev.kind == "division" for ev in res.events)
+        assert n_div > 0
+        # each initial cell once, then the one daughter size of each division
+        assert len(calls) == 3 + n_div
+
+    def test_growing_sizes_evaluate_b_once_per_cell_and_event(self):
+        # every right-hand-side call of the product flow evaluates g and b
+        # once per cell; the b calls beyond those are the event's weights pass
+        counts = {"g": 0, "b": 0}
+
+        def g(x):
+            counts["g"] += 1
+            return 0.1 * x
+
+        def b(x):
+            counts["b"] += 1
+            return x
+
+        res = pk.simulate_population(g, b, 0.2, [1.0, 1.5], 1.0, pk.path_rng(61, 0))
+        assert res.events
+        cells_at_events = sum(ev.n_after - 1 if ev.kind == "division" else ev.n_after + 1
+                              for ev in res.events)
+        assert counts["b"] - counts["g"] == cells_at_events
+
     def test_growing_sizes_ode_route(self):
         # sizes must follow x' = g(x) between events; with pure growth and no
         # events the snapshot is the exact flow map

@@ -238,6 +238,21 @@ class TestEnsemble:
         stderr = xs.std(ddof=1) / math.sqrt(n)
         assert abs(xs.mean()) < 3.0 * stderr
 
+    def test_snapshot_at_a_jump_time_reads_the_post_jump_state(self):
+        # phase B entered at t = 0 divides at exactly t_B = 0.5, the snapshot
+        # time: paths are right-continuous, as Trajectory.state_at reads them
+        params = TwoPhaseCellCycleParams(g=lambda x: x, phi=1.0, t_B=0.5,
+                                         g_closed_form=lambda t, x: x * math.exp(t))
+        model = make_two_phase_cell_cycle(params)
+        ens = simulate_ensemble(model, lambda rng: (np.array([1.0, 0.0]), 1), 1.0, 1,
+                                seed=5, snapshot_times=[0.5])
+        traj = simulate_trajectory(model, [1.0, 0.0], 1, 1.0, path_rng(5, 0))
+        assert traj.jumps[0].t == 0.5
+        state, reg = traj.state_at(0.5)
+        assert reg == 0 and ens.snapshot_regimes[0, 0] == 0
+        assert np.array_equal(ens.snapshot_states[0, 0], state)
+        assert np.array_equal(ens.final_states[0], traj.state_at(1.0)[0])
+
     def test_path_errors_collected_not_raised(self):
         model = make_grasshopper(50.0, lambda rng: 0.0)
 
