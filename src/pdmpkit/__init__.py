@@ -34,16 +34,14 @@ from .models import (
     PopulationResult,
     SteinParams,
     SwitchingFields,
-    TwoPhaseCellCycleParams,
     make_allee,
     make_birth_switch,
-    make_cell_cycle_one_phase,
+    make_cell_cycle,
     make_gene_expression,
     make_grasshopper,
     make_rubinow,
     make_stein,
     make_telegraph,
-    make_two_phase_cell_cycle,
     simulate_population,
     telegraph_fields,
 )

@@ -83,7 +83,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> list:
         ens = simulate_ensemble(model, lambda rng: (x0, regime0), horizon, n_paths,
                                 seed, snapshot_times=snaps, jump_budget=budget)
         if ens.errors:
-            raise InvalidParam(f"ensemble paths failed: {ens.errors[:3]}")
+            raise ens.errors[0][1]
         snap_path = out / "snapshots.csv"
         snapshots_to_csv(ens, snap_path)
         artifacts.append(str(snap_path))
@@ -155,11 +155,11 @@ def cmd_evolve(cfg: dict, out: Path) -> list:
         grid = Grid1D(0.0, float(gcfg["x_max"]), int(gcfg["n"]), dyadic_aligned=True)
         (f_a0,) = _initial_density(grid, 1, f0)
         if view.t_B is None:
-            solver = CellCycleSolver(grid, view.g, view.phi, dt)
+            solver = CellCycleSolver(grid, view.g, view.phi_fn, dt)
             density = density_from(grid, [f_a0])
         else:
             n_y = int(section.get("n_y", 32))
-            solver = TwoPhaseSolver(grid, n_y, view.t_B, view.g, view.phi, dt)
+            solver = TwoPhaseSolver(grid, n_y, view.t_B, view.g, view.phi_fn, dt)
             density = two_phase_density(grid, n_y, view.t_B, f_a0)
 
     converged = None

@@ -18,16 +18,14 @@ from .models import (
     GrowthDivision,
     SteinParams,
     SwitchingFields,
-    TwoPhaseCellCycleParams,
     make_allee,
     make_birth_switch,
-    make_cell_cycle_one_phase,
+    make_cell_cycle,
     make_gene_expression,
     make_grasshopper,
     make_rubinow,
     make_stein,
     make_telegraph,
-    make_two_phase_cell_cycle,
     telegraph_fields,
 )
 from .process import PdmpModel
@@ -161,6 +159,11 @@ def validate_config(cfg: dict) -> dict:
         if command in cfg:
             req, opt = _SECTION_KEYS[command]
             _check_keys(cfg[command], req, opt, command)
+    if command == "simulate":
+        budget = cfg["simulate"].get("jump_budget", 0)
+        if type(budget) is not int or budget < 0:
+            raise ConfigError("simulate.jump_budget must be an integer >= 0",
+                              key="simulate.jump_budget")
     if command == "evolve":
         _check_keys(cfg["evolve"]["grid"], {"n", "x_max"}, {"x_min"}, "evolve.grid")
         name = cfg["model"]["name"]
@@ -231,20 +234,11 @@ def build_model(model: dict) -> PdmpModel:
                                 dim=int(model.get("dim", 1)))
     if name == "telegraph":
         return make_telegraph(_num(model, "lam"), _num(model, "c"))
-    if name == "cell_cycle_1p":
-        return make_cell_cycle_one_phase(
-            rate_from_config(model["g"], "g"),
-            rate_from_config(model["phi"], "phi"),
-            g_closed_form=_closed_form_expr(model))
+    if name in ("cell_cycle_1p", "cell_cycle_2p"):
+        return make_cell_cycle(_growth_division(model))
     if name == "rubinow":
         return make_rubinow(rate_from_config(model["g"], "g"), _num(model, "m"),
                             g_closed_form=_closed_form_expr(model))
-    if name == "cell_cycle_2p":
-        return make_two_phase_cell_cycle(TwoPhaseCellCycleParams(
-            g=rate_from_config(model["g"], "g"),
-            phi=rate_from_config(model["phi"], "phi"),
-            t_B=_num(model, "t_B"),
-            g_closed_form=_closed_form_expr(model)))
     if name == "gene_expression":
         return make_gene_expression(gene_params(model))
     if name == "stein":
@@ -284,7 +278,8 @@ def allee_params(model: dict) -> AlleeParams:
 def _growth_division(model: dict) -> GrowthDivision:
     return GrowthDivision(g=rate_from_config(model["g"], "g"),
                           phi=rate_from_config(model["phi"], "phi"),
-                          t_B=_num(model, "t_B") if "t_B" in model else None)
+                          t_B=_num(model, "t_B") if "t_B" in model else None,
+                          g_closed_form=_closed_form_expr(model))
 
 
 # model name -> its 1-D view, built without constructing the event model

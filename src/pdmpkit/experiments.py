@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvalidParam
-from .flows import Flow, QTransform, cumulative_hazard, flow_evolve, sample_jump_time
+from .flows import QTransform, cumulative_hazard, flow_evolve, sample_jump_time
 from .mcstats import (
     dkw_epsilon,
     empirical_density,
@@ -26,10 +26,10 @@ from .mcstats import (
 from .models import (
     BirthSwitchParams,
     GeneExpressionParams,
-    TwoPhaseCellCycleParams,
+    GrowthDivision,
     make_birth_switch,
+    make_cell_cycle,
     make_gene_expression,
-    make_two_phase_cell_cycle,
     simulate_population,
 )
 from .process import next_event, path_rng, simulate_ensemble
@@ -180,7 +180,7 @@ def stability_alternative(cfg: dict) -> dict:
     ens = simulate_ensemble(model_w, init, t_final, n_paths, seed + 1,
                             snapshot_times=times)
     if ens.errors:
-        raise InvalidParam(f"sweeping ensemble had path errors: {ens.errors[:3]}")
+        raise ens.errors[0][1]
     eps = float(cfg.get("eps", 0.05))
     sweep = sweeping_mass(ens.snapshot_times, ens.snapshot_states,
                           ens.snapshot_regimes, eps)
@@ -215,11 +215,9 @@ def two_phase_recursion(cfg: dict) -> dict:
     x0 = float(cfg.get("x0", 1.0))
     n = int(cfg.get("n", 100_000))
     seed = int(cfg.get("seed", 7071))
-    g = lambda x: x
-    phi = lambda x: x
-    g_cf = lambda t, x: x * np.exp(t)
-    params = TwoPhaseCellCycleParams(g=g, phi=phi, t_B=t_B, g_closed_form=g_cf)
-    model = make_two_phase_cell_cycle(params)
+    params = GrowthDivision(g=lambda x: x, phi=lambda x: x, t_B=t_B,
+                            g_closed_form=lambda t, x: x * np.exp(t))
+    model = make_cell_cycle(params)
 
     rng = path_rng(seed, 0)
     full = np.empty(n)
@@ -232,9 +230,8 @@ def two_phase_recursion(cfg: dict) -> dict:
             raise InvalidParam("unexpected event order in the two-phase generation")
         full[i] = ev2.state_post[0]
 
-    q_fn, q_inv = QTransform(g, phi).tabulated(x_max=60.0)
-    growth_flow = Flow(dim=1, rhs=lambda x: x.copy(),
-                       closed_form=lambda t, x: np.array([g_cf(t, x[0])]))
+    q_fn, q_inv = QTransform(params.g, params.phi_fn).tabulated(x_max=60.0)
+    growth_flow = params.flow()
     rng2 = path_rng(seed, 1)
     xis = rng2.exponential(size=n)
     entry = q_inv(q_fn(x0) + xis)

@@ -472,30 +472,23 @@ class QTransform:
             raise InvalidParam(f"growth rate must be positive on (0, x]; g({r:.6g}) <= 0")
         return self._phi(r) / g
 
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise InvalidParam("QTransform is defined for x >= 0")
-        if x == 0:
-            return 0.0
-        val, err, info, *msg = quad(self._integrand, 0.0, x, limit=200, full_output=True)
-        if msg or err > max(1e-8, 1e-8 * abs(val)):
-            raise DivergentIntegral(
-                f"integral of phi/g over (0, {x:.6g}] did not converge (err {err:.2g})"
-            )
-        return float(val)
-
     def tabulated(self, x_max: float):
         """Dense monotone table of Q on [0, x_max] at ``_Q_TABLE_POINTS`` points;
         returns (Q, Q_inverse) callables.
 
-        Much cheaper than per-call quadrature when the transform is evaluated
-        many times (e.g. recursion sampling); interpolation error is far below
-        statistical noise at the sample sizes used here.
+        Cheap when the transform is evaluated many times (e.g. recursion
+        sampling); interpolation error is far below statistical noise at the
+        sample sizes used here.  Raises :class:`DivergentIntegral` when phi/g
+        is not integrable at 0, seen as the first piece's quadrature failing.
         """
         xs = np.linspace(0.0, x_max, _Q_TABLE_POINTS)
+        first, err, _, *msg = quad(self._integrand, 0.0, xs[1], limit=100, full_output=True)
+        if msg or err > max(1e-8, 1e-8 * abs(first)):
+            raise DivergentIntegral(
+                f"integral of phi/g over (0, {xs[1]:.6g}] did not converge (err {err:.2g})")
         vals = np.empty(_Q_TABLE_POINTS)
-        vals[0] = 0.0
-        for i in range(1, _Q_TABLE_POINTS):
+        vals[:2] = 0.0, first
+        for i in range(2, _Q_TABLE_POINTS):
             piece, _ = quad(self._integrand, xs[i - 1], xs[i], limit=100)
             vals[i] = vals[i - 1] + piece
         if np.any(np.diff(vals) < 0):

@@ -50,7 +50,8 @@ def _scalar_fn(spec: RateLike) -> Callable[[float], float]:
     return lambda _x, _v=value: _v
 
 
-def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None) -> Hazard:
+def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None,
+                  rate_along: Optional[Callable] = None) -> Hazard:
     """Hazard acting on the first state component; constants keep their fast path."""
     if not callable(spec):
         return Hazard.constant(float(spec))
@@ -61,7 +62,7 @@ def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None) -> Hazard:
         if np.any(vals < 0):
             raise InvalidParam("intensity function must be nonnegative on its domain")
         ub = float(vals.max()) * (1.0 + 1e-3)
-    return Hazard(rate=rate, upper_bound=ub)
+    return Hazard(rate=rate, upper_bound=ub, rate_along=rate_along)
 
 
 def _check_positive_on(fn: Callable[[float], float], xs: Array, constraint: str) -> None:
@@ -72,10 +73,13 @@ def _check_positive_on(fn: Callable[[float], float], xs: Array, constraint: str)
 def _vector_rate_along(g_closed_form, phi_fn) -> Optional[Callable]:
     """Vectorized hazard-along-flow hook, validated against the scalar route.
 
-    Returns None unless ``phi(g_closed_form(ts, x0))`` broadcasts over an array
-    of time offsets and matches per-point evaluation; the sampler then gets a
-    one-call path for its quadrature nodes.
+    Returns None unless both are callables and ``phi(g_closed_form(ts, x0))``
+    broadcasts over an array of time offsets and matches per-point evaluation;
+    the sampler then gets a one-call path for its quadrature nodes.
     """
+    if not (callable(g_closed_form) and callable(phi_fn)):
+        return None
+
     def rate_along(ts, x0):
         return np.asarray(phi_fn(g_closed_form(ts, float(x0[0]))), dtype=float)
 
@@ -124,17 +128,32 @@ class SwitchingFields:
 
 @dataclass(frozen=True)
 class GrowthDivision:
-    """Grid-solver view of a cell-cycle model: growth law g, division (one
-    phase) or phase-B entry (two phases) intensity phi, both made scalar
-    callables, and the phase-B duration t_B of the two-phase model."""
+    """The one description of a cell-cycle model: size growth x' = g(x), with
+    the exact flow g_closed_form(t, x0) where known, and the intensity phi of
+    division (t_B None) or of entry into a phase B of fixed duration t_B.
+    g becomes a scalar callable; a numeric phi stays a number, so the event
+    model keeps its constant-rate route, and ``phi_fn`` is its callable."""
 
     g: RateLike
     phi: RateLike
     t_B: Optional[float] = None
+    g_closed_form: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "g", _scalar_fn(self.g))
-        object.__setattr__(self, "phi", _scalar_fn(self.phi))
+
+    @property
+    def phi_fn(self) -> Callable[[float], float]:
+        return _scalar_fn(self.phi)
+
+    def flow(self, y_speed: Optional[float] = None) -> Flow:
+        """The growth flow of x, or of the two-phase state (x, y) with y' = y_speed."""
+        g, gc = self.g, self.g_closed_form
+        if y_speed is None:
+            closed = None if gc is None else lambda t, x: np.array([gc(t, x[0])])
+            return Flow(dim=1, rhs=lambda x: np.array([g(float(x[0]))]), closed_form=closed)
+        closed = None if gc is None else lambda t, s: np.array([gc(t, s[0]), s[1] + y_speed * t])
+        return Flow(dim=2, rhs=lambda s: np.array([g(float(s[0])), y_speed]), closed_form=closed)
 
 
 def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params: dict,
@@ -244,28 +263,6 @@ def _validate_growth_division(g, phi) -> None:
     _require(_tail_integral_diverges(lambda r: phi(r) / g(r)), "int^inf phi/g = inf")
 
 
-def make_cell_cycle_one_phase(g: RateLike, phi: RateLike,
-                              g_closed_form=None) -> PdmpModel:
-    """Size growth x' = g(x); division at intensity phi(x) into a size-x/2 daughter."""
-    g_fn = _scalar_fn(g)
-    phi_fn = _scalar_fn(phi)
-    _validate_growth_division(g_fn, phi_fn)
-    closed = None
-    rate_along = None
-    if g_closed_form is not None:
-        closed = lambda t, x: np.array([g_closed_form(t, x[0])])
-        rate_along = _vector_rate_along(g_closed_form, phi_fn)
-    flow = Flow(dim=1, rhs=lambda x: np.array([g_fn(float(x[0]))]), closed_form=closed)
-    hazard = Hazard.constant(phi) if not callable(phi) else Hazard(
-        rate=lambda x: float(phi(x[0])), rate_along=rate_along)
-
-    def divide(x, regime, rng):
-        return x * 0.5, 0
-
-    regime = Regime(0, flow, hazards=(HazardChannel(hazard, JumpKernel(divide), "division"),))
-    return PdmpModel("cell_cycle_1p", (regime,), {"g": g, "phi": phi})
-
-
 def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     """Deterministic cycle: grow from size m, split back to m on reaching 2m."""
     _require(m > 0, "m > 0")
@@ -285,47 +282,32 @@ def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     return PdmpModel("rubinow", (regime,), {"g": g, "m": m})
 
 
-@dataclass(frozen=True)
-class TwoPhaseCellCycleParams:
-    """Growth law g, phase-B entry intensity phi, and fixed phase-B duration t_B."""
+def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
+    """One phase (t_B None): division at intensity phi(x) into a size-x/2
+    daughter.  Two phases, state (x, y): resting phase A grows until phi
+    fires, then a fixed t_B in phase B before division halves x; y tracks
+    time since phase-B entry."""
+    _require(p.t_B is None or p.t_B > 0, "t_B > 0")
+    _validate_growth_division(p.g, p.phi_fn)
+    hazard = _state_hazard(p.phi, rate_along=_vector_rate_along(p.g_closed_form, p.phi))
+    if p.t_B is None:
+        def divide(x, regime, rng):
+            return x * 0.5, 0
 
-    g: RateLike
-    phi: RateLike
-    t_B: float
-    g_closed_form: Optional[Callable[[float, float], float]] = None
-
-    def __post_init__(self):
-        _require(self.t_B > 0, "t_B > 0")
-        _validate_growth_division(_scalar_fn(self.g), _scalar_fn(self.phi))
-
-
-def make_two_phase_cell_cycle(p: TwoPhaseCellCycleParams) -> PdmpModel:
-    """State (x, y): resting phase A grows until phi fires, then a fixed t_B in
-    phase B before division halves x.  y tracks time since phase-B entry."""
-    g_fn = _scalar_fn(p.g)
-    closed_a = closed_b = rate_along = None
-    if p.g_closed_form is not None:
-        gc = p.g_closed_form
-        closed_a = lambda t, s: np.array([gc(t, s[0]), s[1]])
-        closed_b = lambda t, s: np.array([gc(t, s[0]), s[1] + t])
-        if callable(p.phi):
-            rate_along = _vector_rate_along(gc, p.phi)
-    flow_a = Flow(dim=2, rhs=lambda s: np.array([g_fn(float(s[0])), 0.0]), closed_form=closed_a)
-    flow_b = Flow(dim=2, rhs=lambda s: np.array([g_fn(float(s[0])), 1.0]), closed_form=closed_b)
-
-    hazard = Hazard.constant(p.phi) if not callable(p.phi) else Hazard(
-        rate=lambda s: float(p.phi(s[0])), rate_along=rate_along)
+        regime = Regime(0, p.flow(), hazards=(HazardChannel(hazard, JumpKernel(divide),
+                                                            "division"),))
+        return PdmpModel("cell_cycle_1p", (regime,), {"g": p.g, "phi": p.phi})
 
     def enter_b(s, regime, rng):
         return np.array([s[0], 0.0]), 1
 
-    def divide(s, regime, rng):
+    def divide_b(s, regime, rng):
         return np.array([0.5 * s[0], 0.0]), 0
 
-    regime_a = Regime(0, flow_a,
+    regime_a = Regime(0, p.flow(0.0),
                       hazards=(HazardChannel(hazard, JumpKernel(enter_b), "phase_b_entry"),))
-    regime_b = Regime(1, flow_b,
-                      clocks=(DeterministicClock(FixedDelay(p.t_B), JumpKernel(divide),
+    regime_b = Regime(1, p.flow(1.0),
+                      clocks=(DeterministicClock(FixedDelay(p.t_B), JumpKernel(divide_b),
                                                  "division"),))
     return PdmpModel("cell_cycle_2p", (regime_a, regime_b),
                      {"g": p.g, "phi": p.phi, "t_B": p.t_B})

@@ -21,6 +21,7 @@ from .errors import (
     InvalidParam,
     JumpBudgetExceeded,
     NonFinite,
+    PdmpError,
 )
 from .flows import (Flow, Hazard, all_finite, as_vector, boundary_hit_time, flow_evolve,
                     sample_jump_time)
@@ -327,7 +328,7 @@ class EnsembleResult:
     final_states: Array             # (n_paths, dim)
     final_regimes: Array            # (n_paths,)
     horizon: float
-    errors: list                    # [(path_index, "repr"), ...]
+    errors: list                    # [(path_index, PdmpError), ...]
 
 
 def _run_path(model: PdmpModel, initial_sampler, horizon: float, snaps: Array,
@@ -340,8 +341,8 @@ def _run_path(model: PdmpModel, initial_sampler, horizon: float, snaps: Array,
             out.snapshot_states[k, i] = x
             out.snapshot_regimes[k, i] = reg
         out.final_states[i], out.final_regimes[i] = next(reads)
-    except Exception as exc:  # collected, never aborts the ensemble
-        out.errors.append((i, repr(exc)))
+    except PdmpError as exc:  # collected, never aborts the ensemble
+        out.errors.append((i, exc))
 
 
 def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths: int,

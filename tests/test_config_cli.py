@@ -14,6 +14,7 @@ from pdmpkit.config import (
     build_model,
     dump_config,
     load_config,
+    model_view,
     population_spec,
     validate_config,
 )
@@ -208,6 +209,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("budget", [-1, True, 2.5, "3"])
+    def test_jump_budget_must_be_nonnegative_int(self, budget):
+        cfg = self.base()
+        cfg["simulate"]["jump_budget"] = budget
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.key == "simulate.jump_budget"
+        cfg["simulate"]["jump_budget"] = 0
+        validate_config(cfg)
+
     def test_classify_model_restriction(self):
         cfg = {"command": "classify", "model": {"name": "telegraph",
                                                 "lam": 1.0, "c": 1.0}}
@@ -336,6 +347,14 @@ class TestBuildModel:
         model = build_model(model_cfg)
         assert model.name == model_cfg["name"]
 
+    def test_build_model_and_model_view_read_one_record(self):
+        cfg = {"name": "cell_cycle_2p", "g": "x", "phi": "0.9 * x", "t_B": 0.5,
+               "g_closed_form": "x0 * exp(t)"}
+        model, view = build_model(cfg), model_view(cfg)
+        assert model.params["t_B"] == view.t_B == 0.5
+        state = model.regimes[0].flow.closed_form(0.7, np.array([1.3, 0.0]))
+        assert state[0] == view.g_closed_form(0.7, 1.3) == 1.3 * math.exp(0.7)
+
     def test_population_spec(self):
         spec = population_spec({"name": "population", "g": None, "b": "x",
                                 "d": 0.5, "initial": [1.0, 2.0]})
@@ -463,6 +482,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().out)
         assert err["kind"] == "ModelError"
         assert "b0 < mu" in err["message"]
+
+    def test_path_failure_exits_alike_in_both_modes(self, tmp_path, capsys):
+        # a telegraph at rate 5 makes far more than 3 jumps by t = 100
+        records = []
+        for record in ("true", "false"):
+            cfg = tmp_path / f"{record}.yaml"
+            cfg.write_text("command: simulate\nmodel: {name: telegraph, lam: 5.0, c: 1.0}\n"
+                           "simulate: {x0: [0, 1], regime0: 0, horizon: 100.0, jump_budget: 3,"
+                           f" record_trajectories: {record}}}\n")
+            code = main(["--config", str(cfg), "--out", str(tmp_path / record)])
+            records.append((code, json.loads(capsys.readouterr().out)["kind"]))
+        assert records == [(1, "JumpBudgetExceeded")] * 2
 
     def test_nonfinite_rate_exit_code(self, tmp_path, capsys):
         # 1e308 * 10 overflows to inf, and inf * x - inf * x is NaN

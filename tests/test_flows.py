@@ -240,24 +240,27 @@ class TestBoundaryHit:
 
 
 class TestQTransform:
+    """The tabulated Q(x) = int_0^x phi/g and its inverse against closed forms."""
+
+    @staticmethod
+    def assert_table(g, phi, exact, xs=(0.2, 1.0, 1.7, 3.3)):
+        q_fn, q_inv = QTransform(g, phi).tabulated(5.0)
+        for x in xs:
+            assert float(q_fn(x)) == pytest.approx(exact(x), abs=1e-8)
+            assert float(q_inv(exact(x))) == pytest.approx(x, abs=1e-7)
+
     def test_constant_over_unit_growth(self):
-        assert QTransform(lambda r: 1.0, lambda r: 3.0)(2.0) == pytest.approx(6.0)
+        self.assert_table(lambda r: 1.0, lambda r: 3.0, lambda x: 3.0 * x)
 
     def test_identity_ratio(self):
-        assert QTransform(lambda r: r, lambda r: r)(1.7) == pytest.approx(1.7)
+        self.assert_table(lambda r: r, lambda r: r, lambda x: x)
 
     def test_linear_intensity(self):
-        expected, _ = quad(lambda r: r, 0.0, 2.0)
-        assert QTransform(lambda r: 1.0, lambda r: r)(2.0) == pytest.approx(expected)
-        assert expected == pytest.approx(2.0)
+        self.assert_table(lambda r: 1.0, lambda r: r, lambda x: 0.5 * x * x)
 
     def test_divergent_near_zero(self):
         with pytest.raises(DivergentIntegral):
-            QTransform(lambda r: r, lambda r: 1.0)(1.0)
+            QTransform(lambda r: r, lambda r: 1.0).tabulated(5.0)
 
     def test_tabulated_matches_quadrature(self):
-        q = QTransform(lambda r: 1.0 + r, lambda r: r)
-        q_fn, q_inv = q.tabulated(5.0)
-        for x in (0.2, 1.0, 3.3):
-            assert float(q_fn(x)) == pytest.approx(q(x), abs=1e-8)
-            assert float(q_inv(q(x))) == pytest.approx(x, abs=1e-7)
+        self.assert_table(lambda r: 1.0 + r, lambda r: r, lambda x: x - math.log1p(x))

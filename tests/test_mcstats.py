@@ -190,9 +190,9 @@ class TestOccupation:
 
     def test_sample_at_a_jump_time_reads_the_post_jump_state(self):
         # phase B entered at t = 0 divides at exactly t_B = 0.5, the first tick
-        params = pk.TwoPhaseCellCycleParams(g=lambda x: x, phi=1.0, t_B=0.5,
-                                            g_closed_form=lambda t, x: x * math.exp(t))
-        model = pk.make_two_phase_cell_cycle(params)
+        params = pk.GrowthDivision(g=lambda x: x, phi=1.0, t_B=0.5,
+                                   g_closed_form=lambda t, x: x * math.exp(t))
+        model = pk.make_cell_cycle(params)
         xs, regs = occupation_samples(model, [1.0, 0.0], 1, 1.0, pk.path_rng(5, 0),
                                       delta=0.5)
         traj = pk.simulate_trajectory(model, [1.0, 0.0], 1, 1.0, pk.path_rng(5, 0))

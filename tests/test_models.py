@@ -12,8 +12,8 @@ from pdmpkit import (
     AlleeParams,
     BirthSwitchParams,
     GeneExpressionParams,
+    GrowthDivision,
     SteinParams,
-    TwoPhaseCellCycleParams,
 )
 from pdmpkit.errors import InvalidParam, PopulationBlowup
 
@@ -52,9 +52,9 @@ class TestParamValidation:
     def test_cell_cycle_divergence_conditions(self):
         # int^inf 1/g finite for g = x^2: rejected
         with pytest.raises(InvalidParam, match="1/g"):
-            pk.make_cell_cycle_one_phase(lambda x: x * x, lambda x: x * x)
+            pk.make_cell_cycle(GrowthDivision(lambda x: x * x, lambda x: x * x))
         with pytest.raises(InvalidParam, match="phi/g"):
-            pk.make_cell_cycle_one_phase(lambda x: x, lambda x: x / (1.0 + x ** 3))
+            pk.make_cell_cycle(GrowthDivision(lambda x: x, lambda x: x / (1.0 + x ** 3)))
 
     def test_grasshopper_telegraph_invalid(self):
         with pytest.raises(InvalidParam):
@@ -115,10 +115,41 @@ class TestTelegraph:
         assert abs(var_a - var_b) < 3.0 * se
 
 
+class TestCellCycleRoutes:
+    """make_cell_cycle keeps each jump-time route, in both phase layouts."""
+
+    @staticmethod
+    def build(phi, closed, t_B):
+        gc = (lambda t, x: x * np.exp(t)) if closed else None
+        model = pk.make_cell_cycle(GrowthDivision(lambda x: x, phi, t_B, gc))
+        assert model.name == ("cell_cycle_1p" if t_B is None else "cell_cycle_2p")
+        regime = model.regimes[0]
+        return regime.flow, regime.hazards[0].hazard
+
+    @pytest.mark.parametrize("t_B", [None, 0.5])
+    def test_numeric_phi_keeps_the_constant_rate(self, t_B):
+        _, hz = self.build(1.5, True, t_B)
+        assert hz.const_rate == 1.5
+
+    @pytest.mark.parametrize("t_B", [None, 0.5])
+    def test_phi_function_with_closed_form_gets_rate_along(self, t_B):
+        flow, hz = self.build(lambda x: 0.9 * x, True, t_B)
+        assert hz.const_rate is None and hz.upper_bound is None
+        assert flow.closed_form is not None
+        ts = np.array([0.1, 0.6])
+        assert np.allclose(hz.rate_along(ts, np.array([1.2])), 0.9 * 1.2 * np.exp(ts))
+
+    @pytest.mark.parametrize("t_B", [None, 0.5])
+    def test_without_closed_form_takes_the_ode_route(self, t_B):
+        flow, hz = self.build(lambda x: 0.9 * x, False, t_B)
+        assert hz.const_rate is None and hz.upper_bound is None and hz.rate_along is None
+        assert flow.closed_form is None
+
+
 class TestCellCycleOnePhase:
     def test_constant_hazard_interdivision_times(self):
-        model = pk.make_cell_cycle_one_phase(lambda x: x, 1.5,
-                                             g_closed_form=lambda t, x: x * np.exp(t))
+        model = pk.make_cell_cycle(GrowthDivision(lambda x: x, 1.5,
+                                                   g_closed_form=lambda t, x: x * np.exp(t)))
         rng = pk.path_rng(43, 0)
         n = 40_000
         taus = []
@@ -130,8 +161,8 @@ class TestCellCycleOnePhase:
         assert ks < pk.dkw_epsilon(n, 0.01)
 
     def test_division_halves_size(self):
-        model = pk.make_cell_cycle_one_phase(lambda x: x, lambda x: x,
-                                             g_closed_form=lambda t, x: x * np.exp(t))
+        model = pk.make_cell_cycle(GrowthDivision(lambda x: x, lambda x: x,
+                                                   g_closed_form=lambda t, x: x * np.exp(t)))
         traj = pk.simulate_trajectory(model, [1.0], 0, 30.0, pk.path_rng(44, 0))
         for j in traj.jumps:
             assert j.state_post[0] == pytest.approx(0.5 * j.state_pre[0], abs=1e-14)
@@ -139,8 +170,8 @@ class TestCellCycleOnePhase:
     def test_occupation_matches_master_equation_steady_state(self):
         # dual numerical routes: event-driven occupation measure vs the
         # division master equation solved on a dyadic grid
-        model = pk.make_cell_cycle_one_phase(lambda x: x, lambda x: x,
-                                             g_closed_form=lambda t, x: x * np.exp(t))
+        model = pk.make_cell_cycle(GrowthDivision(lambda x: x, lambda x: x,
+                                                   g_closed_form=lambda t, x: x * np.exp(t)))
         horizon = 1.0e6
         xs, _ = pk.occupation_samples(model, [1.0], 0, horizon, pk.path_rng(45, 0),
                                       delta=2.0)
@@ -189,9 +220,8 @@ class TestRubinow:
 
 class TestTwoPhase:
     def make_model(self, t_B=0.5):
-        params = TwoPhaseCellCycleParams(g=lambda x: x, phi=lambda x: x, t_B=t_B,
-                                         g_closed_form=lambda t, x: x * np.exp(t))
-        return pk.make_two_phase_cell_cycle(params)
+        return pk.make_cell_cycle(GrowthDivision(g=lambda x: x, phi=lambda x: x, t_B=t_B,
+                                                 g_closed_form=lambda t, x: x * np.exp(t)))
 
     def test_lifespan_law(self):
         # life span = t_B + a draw whose law is the integrated phase-entry

@@ -25,16 +25,16 @@ from pdmpkit import (
     flow_evolve,
     iter_events,
     ks_statistic,
+    make_cell_cycle,
     make_gene_expression,
     make_grasshopper,
     make_telegraph,
-    make_two_phase_cell_cycle,
     next_event,
     path_rng,
     simulate_ensemble,
     simulate_trajectory,
 )
-from pdmpkit import GeneExpressionParams, TwoPhaseCellCycleParams
+from pdmpkit import GeneExpressionParams, GrowthDivision
 from pdmpkit.errors import InvalidParam, JumpBudgetExceeded, NonFinite
 from pdmpkit.process import snapshots_to_csv, trajectories_to_csv
 
@@ -84,9 +84,9 @@ class TestNextEvent:
         assert abs(freq - 0.75) < 3.0 * math.sqrt(0.75 * 0.25 / n)
 
     def test_two_phase_fixed_delay(self):
-        params = TwoPhaseCellCycleParams(g=lambda x: x, phi=lambda x: x, t_B=0.5,
-                                         g_closed_form=lambda t, x: x * np.exp(t))
-        model = make_two_phase_cell_cycle(params)
+        params = GrowthDivision(g=lambda x: x, phi=lambda x: x, t_B=0.5,
+                                g_closed_form=lambda t, x: x * np.exp(t))
+        model = make_cell_cycle(params)
         rng = path_rng(12, 0)
         ev = next_event(model, np.array([0.8, 0.0]), 1, rng, t_max=1e9)
         assert ev.dt == pytest.approx(0.5, abs=1e-12)
@@ -95,9 +95,9 @@ class TestNextEvent:
         assert ev.regime_post == 0
 
     def test_fixed_delay_uses_elapsed_time(self):
-        params = TwoPhaseCellCycleParams(g=lambda x: x, phi=lambda x: x, t_B=0.5,
-                                         g_closed_form=lambda t, x: x * np.exp(t))
-        model = make_two_phase_cell_cycle(params)
+        params = GrowthDivision(g=lambda x: x, phi=lambda x: x, t_B=0.5,
+                                g_closed_form=lambda t, x: x * np.exp(t))
+        model = make_cell_cycle(params)
         ev = next_event(model, np.array([0.8, 0.3]), 1, path_rng(12, 1),
                         t_max=1e9, elapsed_in_regime=0.3)
         assert ev.dt == pytest.approx(0.2, abs=1e-12)
@@ -241,9 +241,9 @@ class TestEnsemble:
     def test_snapshot_at_a_jump_time_reads_the_post_jump_state(self):
         # phase B entered at t = 0 divides at exactly t_B = 0.5, the snapshot
         # time: paths are right-continuous, as Trajectory.state_at reads them
-        params = TwoPhaseCellCycleParams(g=lambda x: x, phi=1.0, t_B=0.5,
-                                         g_closed_form=lambda t, x: x * math.exp(t))
-        model = make_two_phase_cell_cycle(params)
+        params = GrowthDivision(g=lambda x: x, phi=1.0, t_B=0.5,
+                                g_closed_form=lambda t, x: x * math.exp(t))
+        model = make_cell_cycle(params)
         ens = simulate_ensemble(model, lambda rng: (np.array([1.0, 0.0]), 1), 1.0, 1,
                                 seed=5, snapshot_times=[0.5])
         traj = simulate_trajectory(model, [1.0, 0.0], 1, 1.0, path_rng(5, 0))
@@ -261,6 +261,7 @@ class TestEnsemble:
 
         ens = simulate_ensemble(model, init, 10.0, 4, seed=9, jump_budget=20)
         assert len(ens.errors) == 4
+        assert all(type(exc) is JumpBudgetExceeded for _, exc in ens.errors)
         assert np.all(np.isnan(ens.final_states))
 
 

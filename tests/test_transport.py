@@ -276,10 +276,9 @@ class TestTwoPhase:
         mass_a, mass_b = dens.phase_masses()
         pde_frac = mass_b / (mass_a + mass_b)
 
-        params = pk.TwoPhaseCellCycleParams(g=lambda x: x, phi=lambda x: x,
-                                            t_B=t_B,
-                                            g_closed_form=lambda t, x: x * np.exp(t))
-        model = pk.make_two_phase_cell_cycle(params)
+        model = pk.make_cell_cycle(pk.GrowthDivision(
+            g=lambda x: x, phi=lambda x: x, t_B=t_B,
+            g_closed_form=lambda t, x: x * np.exp(t)))
         _, regs = pk.occupation_samples(model, [1.0, 0.0], 0, 20000.0,
                                         pk.path_rng(61, 0), delta=0.5)
         mc_frac = float(np.mean(regs == 1))
