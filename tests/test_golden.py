@@ -1,8 +1,9 @@
 """Byte-level regression guard: SHA-256 of every artifact of a fixed set of runs.
 
 The digests pin five fast shipped configs plus one tiny ``evolve`` run per
-grid-solver model and nine ``simulate`` runs: unrecorded telegraph and
-logistic birth_switch ensembles (constant-rate route) and recorded runs of
+grid-solver model and ten ``simulate`` runs: unrecorded telegraph, logistic
+birth_switch and gene_expression ensembles (constant-rate route, read off a
+streamed path with a snapshot at t = 0) and recorded runs of
 gene_expression with a state-dependent rate (thinning route), rubinow with and
 without a closed-form flow (bracketed root-finding and ODE event boundary
 hits), allee (RK45 flow), cell_cycle_1p without a closed form (augmented-ODE
@@ -87,6 +88,10 @@ SIMULATE = {
                   "q0": 1.0, "q1": 1.0},
         "simulate": {"x0": [0.3], "regime0": 0, "horizon": 20.0, "n_paths": 4,
                      "snapshot_times": [5.0, 20.0], "record_trajectories": False}},
+    "ensemble:gene_expression": {
+        "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": 0.7, "q1": 1.3},
+        "simulate": {"x0": [0.5], "regime0": 1, "horizon": 10.0, "n_paths": 6,
+                     "snapshot_times": [0.0, 2.5, 10.0], "record_trajectories": False}},
     "recorded:gene_expression": {
         "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": "1 + x",
                   "q1": 1.0},
@@ -256,6 +261,10 @@ GOLDEN = {
     "ensemble:birth_switch": {
         "snapshots.csv": "7a663900ef88798c3e231a01dde09b013bd561cc702809ff2a2fe2e63865d67b",
         "summary.json": "373161013e76cb6cf8db94c20a8cb6869403a3cb9e49aadd531603c9fdf4a847",
+    },
+    "ensemble:gene_expression": {
+        "snapshots.csv": "5acc5b5a6e5e960bfb7a65025e30d42547d6e2305bcd6e3570e0b4a3f0bd5c47",
+        "summary.json": "4a2b76eee0c7fc3c040393d3f63e89dc12cc934c436eddd5e6a169f99f70708a",
     },
     "ensemble:telegraph": {
         "snapshots.csv": "fdb27e3b382bf8d269be844cd8bac0a8ea69fc3cf05bd0831c737a40205f382c",
