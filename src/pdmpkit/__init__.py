@@ -11,6 +11,7 @@ from .flows import (
     Flow,
     Hazard,
     QTransform,
+    TupleFlow,
     boundary_hit_time,
     cumulative_hazard,
     flow_evolve,
@@ -55,6 +56,7 @@ from .process import (
     PdmpModel,
     Regime,
     Trajectory,
+    TupleMap,
     iter_events,
     next_event,
     path_rng,

@@ -7,6 +7,7 @@ constraints are checked (by constructing it) before anything runs.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Union
 
 from .errors import ConfigError
@@ -194,6 +195,9 @@ def validate_config(cfg: dict) -> dict:
         _check_keys(section, {"mode"}, _COMPARE_KEYS[mode] - {"mode"}, f"compare[{mode}]")
         if mode == "dwell_ks":
             _check_regime(section, 2, "compare.regime", "gene_expression")
+        delta = section.get("delta", 1.0)
+        if type(delta) not in (int, float) or not 0 < delta < math.inf:
+            raise ConfigError("compare.delta must be a finite number > 0", key="compare.delta")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be a 64-bit integer", key="seed")
     return cfg

@@ -30,6 +30,23 @@ TOL_EVENT = 1e-10   # time accuracy of event / hazard-crossing localisation
 HORIZON_CAP = 1e6   # default survival cap for jump-time sampling
 
 
+class TupleFlow:
+    """An exact flow written on plain floats: ``fn(t, s) -> s'`` with ``s`` and
+    ``s'`` sequences of ``dim`` Python floats (``fn`` gets a tuple or a list and
+    returns a tuple).  Calling it as ``(t, x0)`` with a 1-D float64 array gives
+    an array, so it serves as a :attr:`Flow.closed_form`; a streamed path whose
+    every regime has one (see :class:`~pdmpkit.process.Regime`) is read off
+    the tuples directly."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[float, Sequence[float]], tuple]):
+        self.fn = fn
+
+    def __call__(self, t: float, x: Array) -> Array:
+        return np.array(self.fn(t, x.tolist()))
+
+
 @dataclass(frozen=True)
 class Flow:
     """Deterministic motion law for one regime.
@@ -37,6 +54,9 @@ class Flow:
     ``rhs`` is the vector field g(x).  ``closed_form(t, x0)`` is an optional
     exact solution used instead of numerical integration wherever available;
     return a 1-D float64 ndarray of length ``dim``, or pay a conversion per call.
+    A :class:`TupleFlow` is the tuple form of that contract: its ``fn(t, s)``
+    maps a sequence of ``dim`` floats to a tuple of ``dim`` floats, the same
+    numbers the array form gives, and never reads anything but its arguments.
     ``jacobian(x)`` (d x d) is only needed for Lie-bracket computations.
     """
 
@@ -319,13 +339,15 @@ def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: Array, xi: float, hori
     raise HorizonExceeded(horizon, acc)
 
 
-def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float):
+def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float, *,
+                  dense_output: bool):
     """Integrate the augmented ODE ``rhs`` for (x, cumulative hazard) from
     absolute time ``t0`` on chunks of doubling length from 1, capped at
     ``horizon``, each chunk ending early where the cumulative hazard reaches
-    ``xi``.  Yields (chunk start, chunk end, dense solution); the chunk that
-    crossed has an entry in ``t_events[0]``.  Raises :class:`HorizonExceeded`
-    when the horizon comes first."""
+    ``xi``.  Yields (chunk start, chunk end, solution); the chunk that crossed
+    has an entry in ``t_events[0]``, and ``sol.sol`` interpolates the chunk
+    only with ``dense_output``.  Raises :class:`HorizonExceeded` when the
+    horizon comes first."""
     x = x0
     acc = 0.0
     t_lo = t0
@@ -339,7 +361,7 @@ def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float):
         _cross.direction = 1
 
         sol = _rk45(rhs, t_hi - t_lo, np.append(x, 0.0), "hazard integration",
-                    dense_output=True, events=[_cross])
+                    dense_output=dense_output, events=[_cross])
         yield t_lo, t_hi, sol
         x = sol.y[:-1, -1]
         acc += float(sol.y[-1, -1])
@@ -350,7 +372,8 @@ def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float):
 
 def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float) -> float:
     """Invert the cumulative hazard by integrating the augmented ODE in chunks."""
-    for t_lo, _, sol in hazard_chunks(_augmented_rhs(flow, hz), x0, 0.0, horizon, xi):
+    for t_lo, _, sol in hazard_chunks(_augmented_rhs(flow, hz), x0, 0.0, horizon, xi,
+                                      dense_output=False):
         if sol.t_events[0].size:
             return t_lo + float(sol.t_events[0][0])
 

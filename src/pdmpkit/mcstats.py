@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -178,8 +179,11 @@ def occupation_samples(model: PdmpModel, x0, regime0: int, horizon: float,
 
     The first half of the horizon is dropped as burn-in; afterwards the first
     state component is read off every ``delta`` time units, which estimates
-    the occupation measure.
+    the occupation measure.  ``delta`` must be a finite number > 0.
     """
+    if isinstance(delta, bool) or not isinstance(delta, Real) or not 0 < delta < math.inf:
+        raise InvalidParam(f"delta must be a finite number > 0, got {delta!r}")
+
     def ticks():
         t_s = 0.5 * horizon
         while t_s <= horizon:

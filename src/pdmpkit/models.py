@@ -21,7 +21,7 @@ from .errors import (
     PdmpError,
     PopulationBlowup,
 )
-from .flows import Flow, Hazard, hazard_chunks
+from .flows import Flow, Hazard, TupleFlow, hazard_chunks
 from .lazy import brentq, quad
 from .lazy import solve_ivp  # unused; the benchmark tracer patches this binding
 from .process import (
@@ -32,6 +32,7 @@ from .process import (
     JumpKernel,
     PdmpModel,
     Regime,
+    TupleMap,
 )
 
 Array = np.ndarray
@@ -160,13 +161,9 @@ def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params
                      closed_forms=(None, None), bound_grid: Optional[Array] = None
                      ) -> PdmpModel:
     """Event model of a switching view; the raw rate specs keep constants on
-    the constant-rate fast path."""
-    def to1(x, regime, rng):
-        return x.copy(), 1
-
-    def to0(x, regime, rng):
-        return x.copy(), 0
-
+    the constant-rate fast path, and a switch keeps x."""
+    to1 = TupleMap(lambda s, regime: (s, 1))
+    to0 = TupleMap(lambda s, regime: (s, 0))
     regimes = tuple(
         Regime(i, fields.flow(i, closed_forms[i]),
                hazards=(HazardChannel(_state_hazard(q, bound_grid=bound_grid),
@@ -233,12 +230,9 @@ def make_telegraph(lam: float, c: float) -> PdmpModel:
     telegraph_fields(lam, c)    # validates lam and c
     flow = Flow(dim=2,
                 rhs=lambda s: np.array([s[1], 0.0]),
-                closed_form=lambda t, s: np.array([s[0] + s[1] * t, s[1]]),
+                closed_form=TupleFlow(lambda t, s: (s[0] + s[1] * t, s[1])),
                 jacobian=lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def flip(s, regime, rng):
-        return np.array([s[0], -s[1]]), 0
-
+    flip = TupleMap(lambda s, regime: ((s[0], -s[1]), 0))
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(lam),
                                                     JumpKernel(flip), "flip"),))
     return PdmpModel("telegraph", (regime,), {"lam": lam, "c": c})
@@ -357,8 +351,8 @@ class GeneExpressionParams:
 def make_gene_expression(p: GeneExpressionParams) -> PdmpModel:
     """Protein level x with an on/off gene: x' = -mu x (off), x' = P - mu x (on)."""
     mu, a = p.mu, p.x_max
-    closed = (lambda t, x: x * math.exp(-mu * t),
-              lambda t, x: a + (x - a) * math.exp(-mu * t))
+    closed = (TupleFlow(lambda t, s: (s[0] * math.exp(-mu * t),)),
+              TupleFlow(lambda t, s: (a + (s[0] - a) * math.exp(-mu * t),)))
     return _switching_model("gene_expression", p.fields(), (p.q0, p.q1),
                             ("activate", "deactivate"),
                             {"P": p.P, "mu": mu, "q0": p.q0, "q1": p.q1, "x_max": a},
@@ -535,21 +529,21 @@ class BirthSwitchParams:
                                dg1=lambda x: rho1 - 2.0 * c * x, a=a, exp_neg_R=exp_neg_R)
 
 
-def _logistic_closed_form(rho: float, c: float):
-    """Exact solution of x' = rho*x - c*x^2, stable for both signs of rho."""
-    def pi_t(t, x):
-        x0 = float(x[0])
+def _logistic_closed_form(rho: float, c: float) -> Callable[[float, float], float]:
+    """Exact solution x(t) of x' = rho*x - c*x^2 from x0, stable for both signs of rho."""
+    def pi_t(t, x0):
         if x0 == 0.0:
-            return np.array([0.0])
+            return 0.0
         e = math.exp(max(min(-rho * t, 500.0), -500.0))
-        return np.array([rho * x0 / (rho * e + c * x0 * (1.0 - e))])
+        return rho * x0 / (rho * e + c * x0 * (1.0 - e))
     return pi_t
 
 
 def make_birth_switch(p: BirthSwitchParams) -> PdmpModel:
     """Population size on (0, inf) switching between a subcritical and a
     supercritical logistic law; the attracting interval is (0, a], a=(b1-mu)/c."""
-    closed = (_logistic_closed_form(p.b0 - p.mu, p.c), _logistic_closed_form(p.b1 - p.mu, p.c))
+    pi0, pi1 = (_logistic_closed_form(b - p.mu, p.c) for b in (p.b0, p.b1))
+    closed = (TupleFlow(lambda t, s: (pi0(t, s[0]),)), TupleFlow(lambda t, s: (pi1(t, s[0]),)))
     return _switching_model("birth_switch", p.fields(), (p.q0, p.q1), ("switch", "switch"), {
         "b0": p.b0, "b1": p.b1, "c": p.c, "mu": p.mu, "q0": p.q0, "q1": p.q1,
         "a": p.attractor_end,
@@ -692,7 +686,8 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
     while sizes:
         xs = np.asarray(sizes, dtype=float)
         try:
-            for t_lo, t_hi, sol in hazard_chunks(aug_rhs, xs, t, horizon, rng.exponential()):
+            for t_lo, t_hi, sol in hazard_chunks(aug_rhs, xs, t, horizon, rng.exponential(),
+                                                 dense_output=True):
                 def sizes_at(tq, _sol=sol, _t0=t_lo):
                     return _sol.sol(tq - _t0)[:-1]
 

@@ -8,6 +8,7 @@ clocks beat hazards, lower channel index beats higher.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -23,14 +24,32 @@ from .errors import (
     NonFinite,
     PdmpError,
 )
-from .flows import (Flow, Hazard, all_finite, as_vector, boundary_hit_time, flow_evolve,
-                    sample_jump_time)
+from .flows import (Flow, Hazard, TupleFlow, _as_state, all_finite, as_vector,
+                    boundary_hit_time, flow_evolve, sample_jump_time)
 
 Array = np.ndarray
 
 DEFAULT_JUMP_BUDGET = 10_000_000
+BLOCK = 64      # Exp(1) levels drawn per call by the plain-float path reader
 
 KernelFn = Callable[[Array, int, np.random.Generator], tuple]
+
+
+class TupleMap:
+    """A jump that draws nothing, written on plain floats: ``fn(s, regime) ->
+    (s', regime')`` with ``s`` a sequence of Python floats (a tuple or a list)
+    and ``s'`` a tuple of them.  Used as a :class:`JumpKernel` sampler it takes
+    ``(x, regime, rng)``, returns an array state and never hands ``rng`` to
+    ``fn``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[Sequence[float], int], tuple]):
+        self.fn = fn
+
+    def __call__(self, x: Array, regime: int, rng: np.random.Generator):
+        state, reg = self.fn(x.tolist(), regime)
+        return np.array(state), reg
 
 
 @dataclass(frozen=True)
@@ -38,6 +57,9 @@ class JumpKernel:
     """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label]).
 
     Return the state as a 1-D float64 ndarray, or pay a conversion on every jump.
+    A :class:`TupleMap` sampler is the tuple form of that contract for a jump
+    that draws nothing: the same post-jump numbers, from the pre-jump floats
+    and the regime alone.
     """
 
     sampler: KernelFn
@@ -100,6 +122,10 @@ class Regime:
     # the regime's one jump cause when it has one hazard and no clock
     sole_hazard: Optional[HazardChannel] = field(init=False, default=None, repr=False,
                                                  compare=False)
+    # (tuple flow fn, rate, jump map fn) when that hazard has a constant rate,
+    # the regime no domain, the flow a TupleFlow and the kernel a TupleMap
+    float_step: Optional[tuple] = field(init=False, default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hazards", tuple(
@@ -107,7 +133,13 @@ class Regime:
         ))
         object.__setattr__(self, "clocks", tuple(self.clocks))
         if len(self.hazards) == 1 and not self.clocks:
-            object.__setattr__(self, "sole_hazard", self.hazards[0])
+            ch = self.hazards[0]
+            object.__setattr__(self, "sole_hazard", ch)
+            closed, jump = self.flow.closed_form, ch.kernel.sampler
+            if (ch.hazard.const_rate is not None and self.domain is None
+                    and isinstance(closed, TupleFlow) and isinstance(jump, TupleMap)):
+                object.__setattr__(self, "float_step",
+                                   (closed.fn, ch.hazard.const_rate, jump.fn))
         if not self.absorbing and not self.hazards and not self.clocks:
             raise InvalidParam(
                 f"regime {self.index} has no hazards and no clocks; declare it absorbing"
@@ -277,24 +309,102 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
         reg = ev.regime_post
 
 
+def _float_events(model: PdmpModel, x: Array, reg: int, rng: np.random.Generator,
+                  horizon: float, jump_budget: int) -> Iterator[tuple]:
+    """:func:`iter_events` for a model whose every regime has a ``float_step``,
+    yielding (absolute time, post-jump state, post-jump regime) with the state
+    a sequence of floats.  The Exp(1) levels come ``BLOCK`` at a time from one
+    ``rng.exponential`` call; every check fires where the engine's does."""
+    if horizon <= 0:
+        raise InvalidParam("horizon must be positive")
+    if jump_budget < 0:
+        raise InvalidParam("jump_budget must be >= 0")
+    dim = model.dim
+    steps = [r.float_step for r in model.regimes]
+    flow, lam, jump = steps[reg]
+    s = _as_state(x, dim).tolist()
+    xis, k = (), BLOCK
+    t = 0.0
+    n = 0
+    isfinite = math.isfinite
+    while t < horizon:
+        if len(s) != dim:
+            _as_state(s, dim)
+        if k == BLOCK:
+            xis, k = rng.exponential(size=BLOCK).tolist(), 0
+        xi = xis[k]
+        k += 1
+        if lam == 0.0:
+            return
+        tau = xi / lam
+        if tau > horizon - t:
+            return
+        if tau != 0.0:
+            s = flow(tau, s)
+            if not all(map(isfinite, s)):
+                raise NonFinite(f"closed-form flow produced non-finite state at t={tau:.6g}")
+        s, reg = jump(s, reg)
+        if not all(map(isfinite, s)):
+            raise NonFinite("jump kernel produced a non-finite state")
+        reg = int(reg)
+        flow, lam, jump = steps[reg]
+        if n == jump_budget:
+            raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
+        t += tau
+        yield t, s, reg
+        n += 1
+
+
+def _float_reader(model: PdmpModel):
+    """:func:`flow_evolve` on a float-sequence state through the regimes'
+    tuple flows, returning a 1-D float64 array."""
+    dim = model.dim
+    flows = [r.float_step[0] for r in model.regimes]
+
+    def read(s, reg: int, dt: float) -> Array:
+        if dt < 0:
+            raise InvalidParam("flow_evolve needs t >= 0")
+        if len(s) != dim:
+            _as_state(s, dim)
+        if dt != 0.0:
+            s = flows[reg](dt, s)
+            if not all(map(math.isfinite, s)):
+                raise NonFinite(f"closed-form flow produced non-finite state at t={dt:.6g}")
+        return np.array(s, dtype=float)
+    return read
+
+
 def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
               horizon: float, times, jump_budget: int = DEFAULT_JUMP_BUDGET
               ) -> Iterator[Tuple[Array, int]]:
     """Stream (state, regime) along one path at each of the nondecreasing
     ``times`` in [0, horizon], drawing events only as far as the reads need.
     Paths are right-continuous: a read at a jump time sees the post-jump state,
-    as :meth:`Trajectory.state_at` does."""
+    as :meth:`Trajectory.state_at` does.
+
+    When every regime has a ``float_step`` the path runs on plain floats with
+    block-drawn levels: the same states and errors as the engine, in a
+    different ``rng`` end state."""
     x = as_vector(x0)
     reg = int(regime0)
     t_seg = 0.0
-    events = iter_events(model, x, reg, rng, horizon, jump_budget)
+    if all(r.float_step is not None for r in model.regimes):
+        events = _float_events(model, x, reg, rng, horizon, jump_budget)
+        read = _float_reader(model)
+        x = x.tolist()
+    else:
+        events = ((t, ev.state_post, ev.regime_post)
+                  for t, _, ev in iter_events(model, x, reg, rng, horizon, jump_budget))
+        regimes = model.regimes
+
+        def read(x, reg, dt):
+            return flow_evolve(regimes[reg].flow, x, dt)
     nxt = next(events, None)
     for t in times:
         while nxt is not None and nxt[0] <= t:
-            t_seg, _, ev = nxt
-            x, reg = ev.state_post, ev.regime_post
+            t_seg, x, reg = nxt
             nxt = next(events, None)
-        yield flow_evolve(model.regimes[reg].flow, x, t - t_seg), reg
+        yield read(x, reg, t - t_seg), reg
 
 
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,

@@ -292,6 +292,20 @@ class TestConfigValidation:
         assert err.value.key == "compare.regime"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("mode", ["gene_stationarity", "stability_alternative"])
+    @pytest.mark.parametrize("delta", [0, 0.0, -0.5, float("inf"), float("nan"), True, "1"])
+    def test_compare_delta_must_be_positive_and_finite(self, mode, delta, tmp_path):
+        # delta 0 used to leave the occupation ticks at one time, sampling forever
+        cfg = {"command": "compare", "compare": {"mode": mode, "delta": delta}}
+        with pytest.raises(ConfigError, match="delta") as err:
+            validate_config(cfg)
+        assert err.value.key == "compare.delta"
+        cfg_path = tmp_path / "c.yaml"
+        dump_config(cfg, cfg_path)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        validate_config({"command": "compare", "compare": {"mode": mode, "delta": 0.25}})
+
     def test_compare_mode_keys(self):
         cfg = {"command": "compare",
                "compare": {"mode": "dwell_ks", "n": 10, "bad_key": 1}}
