@@ -11,6 +11,7 @@ from .flows import (
     Flow,
     Hazard,
     QTransform,
+    TupleField,
     TupleFlow,
     boundary_hit_time,
     cumulative_hazard,

@@ -8,7 +8,9 @@ law exactly is the core service of this module.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import mul, sub, truediv
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     InvalidParam,
     NonFinite,
 )
+# solve_ivp serves cumulative_hazard only; the benchmark tracer also patches this binding
 from .lazy import PchipInterpolator, brentq, quad, solve_ivp
 
 Array = np.ndarray
@@ -47,11 +50,27 @@ class TupleFlow:
         return np.array(self.fn(t, x.tolist()))
 
 
+class TupleField:
+    """A vector field on plain floats: ``fn(s)`` maps a sequence of ``dim``
+    floats to a tuple of ``dim`` floats.  Called with a 1-D float64 array it
+    gives an array, so it serves as a :attr:`Flow.rhs`."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[Sequence[float]], tuple]):
+        self.fn = fn
+
+    def __call__(self, x: Array) -> Array:
+        return np.array(self.fn(x.tolist()))
+
+
 @dataclass(frozen=True)
 class Flow:
     """Deterministic motion law for one regime.
 
-    ``rhs`` is the vector field g(x).  ``closed_form(t, x0)`` is an optional
+    ``rhs`` is the vector field g(x) on a 1-D float64 array; the integrator
+    calls a :class:`TupleField`'s ``fn`` on lists of floats, any other rhs with
+    an array in and out per stage.  ``closed_form(t, x0)`` is an optional
     exact solution used instead of numerical integration wherever available;
     return a 1-D float64 ndarray of length ``dim``, or pay a conversion per call.
     A :class:`TupleFlow` is the tuple form of that contract: its ``fn(t, s)``
@@ -151,17 +170,100 @@ def _as_state(x0, dim: int) -> Array:
     return x
 
 
-def _rk45(rhs, t_end: float, y0: Array, caller: str, **kw):
-    """The one RK45 set-up: ``y' = rhs(s, y)`` on [0, t_end] at the flow
-    tolerances; a failed solve raises NonFinite naming ``caller``."""
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, **kw)
-    if not sol.success:
-        raise NonFinite(f"{caller} failed: {sol.message}")
-    return sol
+# Dormand & Prince (1980) 5(4): stage rows (the last gives the 5th-order end
+# point), error weights, and per stage scipy RK45's quartic dense output
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+         (0, 0, 0, 0),
+         (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+         (0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+         (0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+         (0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+         (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+_EPS4 = 4 * np.finfo(float).eps   # scipy's event-root tolerance
 
 
-def _flow_rhs(flow: Flow):
-    return lambda s, y: np.asarray(flow.rhs(y), dtype=float)
+def _rms(values, scale) -> float:
+    return math.hypot(*map(truediv, values, scale)) / math.sqrt(len(scale))
+
+
+def _dp_step(f, y: list, k, h: float):
+    """(5th-order end point, 7 stages) of a step of length h from y; k = f(y)."""
+    ks = [k]
+    for a in _DP_A:
+        y_new = [v + sum(map(mul, col, a)) * h for v, col in zip(y, zip(*ks))]
+        ks.append(f(y_new))
+    return y_new, ks
+
+
+class _Step(namedtuple("_Step", "f t0 t1 y0 y1 ks")):
+    """One accepted step of ``y' = f(y)`` from (t0, y0) to (t1, y1), with stages ks."""
+
+    __slots__ = ()
+
+    def at(self, t: float) -> list:
+        """The step's quartic interpolant at t."""
+        h = self.t1 - self.t0
+        x = (t - self.t0) / h
+        w = [h * x * (a + x * (b + x * (c + x * d))) for a, b, c, d in _DP_P]
+        return [v + sum(map(mul, col, w)) for v, col in zip(self.y0, zip(*self.ks))]
+
+    def crossing(self, g) -> float:
+        """Where g(y) reaches 0: the root on the interpolant, as scipy's events
+        find it, Newton-corrected once by a fresh step to it and g's slope."""
+        s = brentq(lambda u: g(self.at(u)), self.t0, self.t1, xtol=_EPS4, rtol=_EPS4)
+        d = 1e-3 * (self.t1 - self.t0)
+        slope = (g(self.at(s + d)) - g(self.at(s - d))) / (2.0 * d)
+        y_s = _dp_step(self.f, self.y0, self.ks[0], s - self.t0)[0]
+        return min(max(s - g(y_s) / slope, self.t0), self.t1) if slope else s
+
+
+def _dopri(f, y: list, t_end: float, caller: str):
+    """Yield each accepted Dormand-Prince 5(4) step of ``y' = f(y)`` on [0, t_end]
+    (``f`` maps a list of floats to floats) under scipy RK45's controller at the
+    flow tolerances: its initial step, safety 0.9, factors in [0.2, 10], no growth
+    after a rejection, RMS error over atol + max(|y|, |y_new|) rtol, and FSAL.  A
+    step below 10 ulp of t or a non-finite state raises NonFinite naming ``caller``."""
+    k = f(y)
+    if not all(map(math.isfinite, (*y, *k))):
+        raise NonFinite(f"{caller} produced a non-finite state")
+    scale = [ATOL_FLOW + abs(v) * TOL_FLOW for v in y]
+    d0, d1 = _rms(y, scale), _rms(k, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = max(d1, _rms(map(sub, f([a + h0 * b for a, b in zip(y, k)]), k), scale) / h0)
+    h_abs = min(100 * h0, t_end, max(1e-6, h0 * 1e-3) if d2 <= 1e-15 else (0.01 / d2) ** 0.2)
+    t = 0.0
+    while t < t_end:
+        min_step = 10 * math.ulp(t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise NonFinite(f"{caller} failed: step size fell below 10 ulp of t={t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            y_new, ks = _dp_step(f, y, k, t_new - t)
+            err = _rms([sum(map(mul, col, _DP_E)) * (t_new - t) for col in zip(*ks)],
+                       [ATOL_FLOW + max(abs(u), abs(v)) * TOL_FLOW for u, v in zip(y, y_new)])
+            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2
+            if err < 1.0:
+                h_abs *= min(1.0 if rejected else 10.0, factor)
+                break
+            h_abs *= max(0.2, factor)
+            rejected = True
+        if not all(map(math.isfinite, y_new)):
+            raise NonFinite(f"{caller} produced a non-finite state")
+        yield _Step(f, t, t_new, y, y_new, ks)
+        t, y, k = t_new, y_new, ks[-1]
+
+
+def _field(flow: Flow):
+    """``flow.rhs`` on lists of floats."""
+    rhs = flow.rhs
+    return rhs.fn if isinstance(rhs, TupleField) else (
+        lambda y: np.asarray(rhs(np.array(y)), dtype=float).tolist())
 
 
 def flow_evolve(flow: Flow, x0, t: float) -> Array:
@@ -176,23 +278,19 @@ def flow_evolve(flow: Flow, x0, t: float) -> Array:
         if not all_finite(out):
             raise NonFinite(f"closed-form flow produced non-finite state at t={t:.6g}")
         return out
-
-    sol = _rk45(_flow_rhs(flow), t, x, "flow integration")
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise NonFinite("flow integration produced a non-finite state")
-    return sol.y[:, -1].copy()
+    for step in _dopri(_field(flow), x.tolist(), t, "flow integration"):
+        pass
+    return np.array(step.y1)
 
 
-def _augmented_rhs(flow: Flow, hz: Hazard):
-    def rhs(s, y):
-        x = y[:-1]
-        gx = np.asarray(flow.rhs(x), dtype=float)
-        return np.append(gx, hz.rate_at(x))
-    return rhs
+def _augmented_field(flow: Flow, hz: Hazard):
+    g, rate_at = _field(flow), hz.rate_at
+    return lambda y: (*g(y[:-1]), rate_at(np.array(y[:-1])))
 
 
 def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> CumulativeHazard:
-    """Integrate the hazard along the flow; one augmented-ODE solve, many read-outs."""
+    """Integrate the hazard along the flow; one augmented-ODE solve, many read-outs.
+    The scipy reference: it runs ``solve_ivp(RK45)``, not the samplers' integrator."""
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0 or np.any(ts < 0):
         raise InvalidParam("cumulative_hazard needs a nonempty grid of times t >= 0")
@@ -203,8 +301,11 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> Cumula
     if t_max == 0.0:
         return CumulativeHazard(ts=ts, values=np.zeros_like(ts))
 
-    sol = _rk45(_augmented_rhs(flow, hz), t_max, np.append(x, 0.0), "hazard integration",
-                dense_output=True)
+    f = _augmented_field(flow, hz)
+    sol = solve_ivp(lambda s, y: f(y.tolist()), (0.0, t_max), [*x.tolist(), 0.0],
+                    method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, dense_output=True)
+    if not sol.success:
+        raise NonFinite(f"hazard integration failed: {sol.message}")
     values = sol.sol(ts)[-1]
     if not np.all(np.isfinite(values)):
         raise NonFinite("hazard integration produced non-finite values")
@@ -339,14 +440,13 @@ def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: Array, xi: float, hori
     raise HorizonExceeded(horizon, acc)
 
 
-def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float, *,
-                  dense_output: bool):
-    """Integrate the augmented ODE ``rhs`` for (x, cumulative hazard) from
+def hazard_chunks(f, x0: list, t0: float, horizon: float, xi: float):
+    """Integrate the augmented field ``f`` for (x, cumulative hazard) from
     absolute time ``t0`` on chunks of doubling length from 1, capped at
-    ``horizon``, each chunk ending early where the cumulative hazard reaches
-    ``xi``.  Yields (chunk start, chunk end, solution); the chunk that crossed
-    has an entry in ``t_events[0]``, and ``sol.sol`` interpolates the chunk
-    only with ``dense_output``.  Raises :class:`HorizonExceeded` when the
+    ``horizon``.  Yields (chunk start, step, crossing) for each accepted step
+    of :func:`_dopri`; ``crossing`` is None except on the last step, where it
+    is the offset in the chunk at which the cumulative hazard reaches ``xi``
+    (:meth:`_Step.crossing`).  Raises :class:`HorizonExceeded` when the
     horizon comes first."""
     x = x0
     acc = 0.0
@@ -354,28 +454,17 @@ def hazard_chunks(rhs, x0: Array, t0: float, horizon: float, xi: float, *,
     span = 1.0
     while t_lo < horizon:
         t_hi = min(t_lo + span, horizon)
-
-        def _cross(s, y, _need=xi - acc):
-            return y[-1] - _need
-        _cross.terminal = True
-        _cross.direction = 1
-
-        sol = _rk45(rhs, t_hi - t_lo, np.append(x, 0.0), "hazard integration",
-                    dense_output=dense_output, events=[_cross])
-        yield t_lo, t_hi, sol
-        x = sol.y[:-1, -1]
-        acc += float(sol.y[-1, -1])
+        need = xi - acc
+        for step in _dopri(f, [*x, 0.0], t_hi - t_lo, "hazard integration"):
+            if step.y1[-1] >= need:
+                yield t_lo, step, step.crossing(lambda y: y[-1] - need)
+                return
+            yield t_lo, step, None
+        x = step.y1[:-1]
+        acc += step.y1[-1]
         t_lo = t_hi
         span = min(2.0 * span, horizon)
     raise HorizonExceeded(horizon, acc)
-
-
-def _inverse_time_ode(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float) -> float:
-    """Invert the cumulative hazard by integrating the augmented ODE in chunks."""
-    for t_lo, _, sol in hazard_chunks(_augmented_rhs(flow, hz), x0, 0.0, horizon, xi,
-                                      dense_output=False):
-        if sol.t_events[0].size:
-            return t_lo + float(sol.t_events[0][0])
 
 
 def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
@@ -426,7 +515,8 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
 
     if flow.closed_form is not None:
         return _inverse_time_closed_form(flow, hz, x, xi, horizon)
-    return _inverse_time_ode(flow, hz, x, xi, horizon)
+    return next(t_lo + crossing for t_lo, _, crossing in hazard_chunks(
+        _augmented_field(flow, hz), x.tolist(), 0.0, horizon, xi) if crossing is not None)
 
 
 def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
@@ -435,7 +525,8 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
 
     Returns None when no crossing occurs.  With a closed-form flow the event
     function is scanned on doubling panels and refined by bracketed
-    root-finding; otherwise the ODE integrator's event machinery is used.
+    root-finding; otherwise its sign is tested at each integrator step's end
+    and the crossing is found in that step (:meth:`_Step.crossing`).
     """
     if t_max <= 0:
         return None
@@ -463,14 +554,16 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
             width = min(2.0 * width, t_max)
         return None
 
-    def _hit(s, y):
-        return event_fn(y)
-    _hit.terminal = True
-    _hit.direction = 0
-    sol = _rk45(_flow_rhs(flow), t_max, x, "boundary detection", events=[_hit])
-    if sol.t_events[0].size:
-        t_hit = float(sol.t_events[0][0])
-        return t_hit if t_hit > 0.0 else None
+    def h_at(y):
+        return float(event_fn(np.array(y)))
+
+    h_prev = h_at(x)
+    for step in _dopri(_field(flow), x.tolist(), t_max, "boundary detection"):
+        h = h_at(step.y1)
+        if (h_prev <= 0.0 <= h) or (h_prev >= 0.0 >= h):
+            t_hit = step.crossing(h_at)
+            return t_hit if t_hit > 0.0 else None
+        h_prev = h
     return None
 
 

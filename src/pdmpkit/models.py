@@ -21,7 +21,7 @@ from .errors import (
     PdmpError,
     PopulationBlowup,
 )
-from .flows import Flow, Hazard, TupleFlow, hazard_chunks
+from .flows import Flow, Hazard, TupleField, TupleFlow, hazard_chunks
 from .lazy import brentq, quad
 from .lazy import solve_ivp  # unused; the benchmark tracer patches this binding
 from .process import (
@@ -123,8 +123,8 @@ class SwitchingFields:
         """The 1-D flow of one regime, with its Jacobian when dg is known."""
         g, dg = (self.g0, self.dg0) if regime == 0 else (self.g1, self.dg1)
         jac = None if dg is None else (lambda x: np.array([[dg(float(x[0]))]]))
-        return Flow(dim=1, rhs=lambda x: np.array([g(float(x[0]))]),
-                    closed_form=closed_form, jacobian=jac)
+        return Flow(dim=1, rhs=TupleField(lambda s: (g(s[0]),)), closed_form=closed_form,
+                    jacobian=jac)
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,9 @@ class GrowthDivision:
         g, gc = self.g, self.g_closed_form
         if y_speed is None:
             closed = None if gc is None else lambda t, x: np.array([gc(t, x[0])])
-            return Flow(dim=1, rhs=lambda x: np.array([g(float(x[0]))]), closed_form=closed)
+            return Flow(dim=1, rhs=TupleField(lambda s: (g(s[0]),)), closed_form=closed)
         closed = None if gc is None else lambda t, s: np.array([gc(t, s[0]), s[1] + y_speed * t])
-        return Flow(dim=2, rhs=lambda s: np.array([g(float(s[0])), y_speed]), closed_form=closed)
+        return Flow(dim=2, rhs=TupleField(lambda s: (g(s[0]), y_speed)), closed_form=closed)
 
 
 def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params: dict,
@@ -265,7 +265,7 @@ def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     closed = None
     if g_closed_form is not None:
         closed = lambda t, x: np.atleast_1d(np.asarray(g_closed_form(t, float(x[0])), dtype=float))
-    flow = Flow(dim=1, rhs=lambda x: np.array([g_fn(float(x[0]))]), closed_form=closed)
+    flow = Flow(dim=1, rhs=TupleField(lambda s: (g_fn(s[0]),)), closed_form=closed)
 
     def split(x, regime, rng):
         return np.array([m]), 0
@@ -677,38 +677,36 @@ def simulate_population(g: Optional[Callable[[float], float]], b: RateLike, d: R
                                 np.asarray(sizes, dtype=float), horizon, max_drift)
 
     # growing sizes: one augmented ODE per inter-event interval
-    def aug_rhs(s, y):
+    def aug_field(y):
         xs = y[:-1]
-        growth = np.array([g(x) for x in xs])
-        lam = math.fsum(rb + rd for rb, rd in map(rates, xs))
-        return np.append(growth, lam)
+        return [*map(g, xs), math.fsum(rb + rd for rb, rd in map(rates, xs))]
 
     while sizes:
-        xs = np.asarray(sizes, dtype=float)
+        xs = sizes
         try:
-            for t_lo, t_hi, sol in hazard_chunks(aug_rhs, xs, t, horizon, rng.exponential(),
-                                                 dense_output=True):
-                def sizes_at(tq, _sol=sol, _t0=t_lo):
-                    return _sol.sol(tq - _t0)[:-1]
+            for t_lo, step, crossing in hazard_chunks(aug_field, sizes, t, horizon,
+                                                      rng.exponential()):
+                def sizes_at(tq, _step=step, _t0=t_lo):
+                    return _step.at(tq - _t0)[:-1]
 
-                if sol.t_events[0].size:
-                    t = t_lo + float(sol.t_events[0][0])
+                if crossing is not None:
+                    t = t_lo + crossing
                     take_snaps_until(t, sizes_at)
-                    xs = sol.y_events[0][0][:-1]
+                    xs = step.at(crossing)[:-1]
                     break
-                take_snaps_until(t_hi, sizes_at)
-                xs = sol.y[:-1, -1]
+                take_snaps_until(t_lo + step.t1, sizes_at)
+                xs = step.y1[:-1]
         except HorizonExceeded:
             t = horizon
-            sizes = [float(x) for x in xs]
+            sizes = xs
             break
 
         pairs = [rates(x) for x in xs]
         weights = [rb + rd for rb, rd in pairs]
         i = _pick_index(weights, rng.uniform() * math.fsum(weights))
-        x = float(xs[i])
+        x = xs[i]
         rb, rd = pairs[i]
-        sizes = [float(v) for v in xs]
+        sizes = xs
         if rng.uniform() * (rb + rd) < rd:
             sizes.pop(i)
             events.append(PopulationEvent(t, "death", x, len(sizes)))

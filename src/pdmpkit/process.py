@@ -498,14 +498,15 @@ def trajectories_to_csv(trajectories: Sequence[Trajectory], path) -> None:
               + [f"pre_s{k}" for k in range(dim)] + [f"post_s{k}" for k in range(dim)])
     write_csv(path, header, (
         [pid, F17(j.t), j.kind, j.regime_pre, j.regime_post]
-        + [F17(v) for v in j.state_pre] + [F17(v) for v in j.state_post]
+        + [F17(v) for v in j.state_pre.tolist()] + [F17(v) for v in j.state_post.tolist()]
         for pid, traj in enumerate(trajectories) for j in traj.jumps))
 
 
 def _snapshots_csv(path, dim: int, rows) -> None:
     """Time slices from (path_id, t_snap, state, regime) tuples."""
     write_csv(path, ["path_id", "t_snap", "regime"] + [f"s{k}" for k in range(dim)],
-              ([pid, F17(t), reg] + [F17(v) for v in state] for pid, t, state, reg in rows))
+              ([pid, F17(t), reg] + [F17(v) for v in state.tolist()]
+               for pid, t, state, reg in rows))
 
 
 def snapshots_to_csv(ensemble: EnsembleResult, path) -> None:

@@ -5,9 +5,10 @@ grid-solver model and ten ``simulate`` runs: unrecorded telegraph, logistic
 birth_switch and gene_expression ensembles (constant-rate route, read off a
 streamed path with a snapshot at t = 0) and recorded runs of
 gene_expression with a state-dependent rate (thinning route), rubinow with and
-without a closed-form flow (bracketed root-finding and ODE event boundary
-hits), allee (RK45 flow), cell_cycle_1p without a closed form (augmented-ODE
-inverse of the cumulative hazard) and with one (Chebyshev-panel inverse), and
+without a closed-form flow (bracketed root-finding, and the root on a
+Dormand-Prince step's interpolant), allee (Dormand-Prince flow), cell_cycle_1p
+without a closed form (augmented-ODE inverse of the cumulative hazard) and
+with one (Chebyshev-panel inverse), and
 cell_cycle_2p with a closed-form flow and a fixed phase-B delay.  Two birth_switch analysis runs pin the
 ``stationary`` command on a stable set (the r0 route, which writes
 ``fstar.csv``) and ``classify`` on a sweeping set.  Five library cases pin
@@ -254,8 +255,8 @@ GOLDEN = {
         "report.json": "67e2d6aac61e63bf14ef74cdf0255c2e0797c9082e010de3dd87a8503922ba86",
     },
     "config:demo_population": {
-        "events.csv": "8708cb0207b3d05b48f9dd4e4b7e1a33c451d97655a6297f668e885d87e06b62",
-        "population_snapshots.csv": "601c4ffe2e58aa4a31ef86b403a84cb9f0b0b183a98491f1c1972f642543e14a",
+        "events.csv": "ca6e5d27565e0d9b4ae886ced1e0e690e43fea75d7b2d341550a9deb8764b60f",
+        "population_snapshots.csv": "31718c1a97af2d32ac5db0854cf76c3577aea4ab85e574d5a97c7850a1d97c44",
         "summary.json": "073b536ca95e96692c028ef2b1317897f537dd25e9a0a81e7bf36c9c569072e2",
     },
     "ensemble:birth_switch": {
@@ -291,14 +292,14 @@ GOLDEN = {
         "summary.json": "3b412156e006c8e06cc71494c58410005af4196825a55dd9a441d57c7418e595",
     },
     "recorded:allee": {
-        "snapshots.csv": "9ed0370b957e07bf31a240fcb53701f3bb1258f6bd5c207ada9629212d4e7c79",
+        "snapshots.csv": "c07a93723cc024133241cbec9750e41da2a6027332924c90abab77bde7b90105",
         "summary.json": "587390bea8d4d459fcb147bac8907834295c35600a848dd5c02f7b42af44f0a4",
-        "trajectories.csv": "308a9f63706e774f8b035948d115d1f3573b3d006b142a9bca9d392d63f31c94",
+        "trajectories.csv": "d6153b78195587aff23642ea89367d2d9dd1de72978b390d9eb12fc06f34f01a",
     },
     "recorded:cell_cycle_1p_ode": {
-        "snapshots.csv": "63d8b0461cca3056a895f5e4e7085655fd68f58ab6e6153248ce3879fa650788",
+        "snapshots.csv": "fd6f31d497d48aa3b2fbf48048c0aa4913aaa57c187c1c64bf2779c4b1224556",
         "summary.json": "695a102ef37fe996e9bfbf7a9a64f95c8ef8491d2c96d96b84aefaf8e0c03811",
-        "trajectories.csv": "098789ede10e481276b0c16e1e63af0dd2e3161bd980858b361b71a803602b13",
+        "trajectories.csv": "4dea7213e0fbfbbbc9f82f328ef1b296dcce8c5ed090f7e9984e099de43b4f63",
     },
     "recorded:gene_expression": {
         "snapshots.csv": "78ac7af59839ef6d17005b75a9756c658f304006158c00a7b1f68e627e7c49f2",
@@ -311,9 +312,9 @@ GOLDEN = {
         "trajectories.csv": "0af9c45d988a9c5c2ee5509c50f4b97daec0453af734879fb0caf821124220e4",
     },
     "recorded:rubinow_ode": {
-        "snapshots.csv": "bc7c5bd4d00f78a6492606ec32c408bf6df841d6bf0bcff95cdb4dbabe5339aa",
+        "snapshots.csv": "09587d8ebb7e59d82016d60a9ab8439f96be29305a6a81020696d9a31e4a5f4c",
         "summary.json": "cf366d7037599866d55813671622629288f019093fecd85502c68cc8906ab10c",
-        "trajectories.csv": "f2b625298f656837c76a422505718a61d53e8872d59c1f9d4fd1a5b90919aee4",
+        "trajectories.csv": "8607a7727ed6ad00ec9b6ee62d9b9f5e46498bbea7aa288d64156fb0fed5f327",
     },
     "recorded:cell_cycle_1p_cheb": {
         "snapshots.csv": "bb3fc82e4387800ce3e60a42a9202b93c93cbeae6dcac025a1c38f8042c8be42",
