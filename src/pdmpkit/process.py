@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .csvout import F17, write_csv
 from .errors import (
@@ -309,69 +311,63 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
         reg = ev.regime_post
 
 
-def _float_events(model: PdmpModel, x: Array, reg: int, rng: np.random.Generator,
-                  horizon: float, jump_budget: int) -> Iterator[tuple]:
-    """:func:`iter_events` for a model whose every regime has a ``float_step``,
-    yielding (absolute time, post-jump state, post-jump regime) with the state
-    a sequence of floats.  The Exp(1) levels come ``BLOCK`` at a time from one
-    ``rng.exponential`` call; every check fires where the engine's does."""
+def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
+                 horizon: float, times, jump_budget: int) -> Iterator[tuple]:
+    """:func:`read_path` for a model whose regimes' ``float_step`` are ``steps``,
+    yielding each read's state as a sequence of floats.  Events are drawn
+    inline, one ahead of the reads, with the Exp(1) levels ``BLOCK`` at a time
+    from one ``rng.exponential`` call; every check fires where the engine's does."""
     if horizon <= 0:
         raise InvalidParam("horizon must be positive")
     if jump_budget < 0:
         raise InvalidParam("jump_budget must be >= 0")
-    dim = model.dim
-    steps = [r.float_step for r in model.regimes]
-    flow, lam, jump = steps[reg]
-    s = _as_state(x, dim).tolist()
-    xis, k = (), BLOCK
-    t = 0.0
-    n = 0
     isfinite = math.isfinite
-    while t < horizon:
+    s, reg = _as_state(x0, dim).tolist(), int(reg)
+    flow, lam, jump = steps[reg]
+    reads = iter(times)
+    t_read = next(reads, None)
+    xis, k, n, t = (), BLOCK, 0, 0.0
+    while True:
+        # the event ending the segment (t, s, reg) is at t_new, None past the horizon
+        t_new = None
         if len(s) != dim:
             _as_state(s, dim)
-        if k == BLOCK:
-            xis, k = rng.exponential(size=BLOCK).tolist(), 0
-        xi = xis[k]
-        k += 1
-        if lam == 0.0:
+        if t < horizon:     # as the engine, nothing is drawn at the horizon
+            if k == BLOCK:
+                xis, k = rng.exponential(size=BLOCK).tolist(), 0
+            xi = xis[k]
+            k += 1
+            if lam != 0.0 and not (tau := xi / lam) > horizon - t:
+                s_new = s
+                if tau != 0.0:
+                    s_new = flow(tau, s)
+                    if not all(map(isfinite, s_new)):
+                        raise NonFinite(
+                            f"closed-form flow produced non-finite state at t={tau:.6g}")
+                s_new, reg_new = jump(s_new, reg)
+                if not all(map(isfinite, s_new)):
+                    raise NonFinite("jump kernel produced a non-finite state")
+                reg_new = int(reg_new)
+                step_new = steps[reg_new]
+                if n == jump_budget:
+                    raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
+                n += 1
+                t_new = t + tau
+        # right-continuous: a read at t_new belongs to the next segment
+        while t_read is not None and (t_new is None or not t_new <= t_read):
+            dt = t_read - t
+            if dt < 0:
+                raise InvalidParam("flow_evolve needs t >= 0")
+            x = s
+            if dt != 0.0:
+                x = flow(dt, s)
+                if not all(map(isfinite, x)):
+                    raise NonFinite(f"closed-form flow produced non-finite state at t={dt:.6g}")
+            yield x, reg
+            t_read = next(reads, None)
+        if t_read is None:
             return
-        tau = xi / lam
-        if tau > horizon - t:
-            return
-        if tau != 0.0:
-            s = flow(tau, s)
-            if not all(map(isfinite, s)):
-                raise NonFinite(f"closed-form flow produced non-finite state at t={tau:.6g}")
-        s, reg = jump(s, reg)
-        if not all(map(isfinite, s)):
-            raise NonFinite("jump kernel produced a non-finite state")
-        reg = int(reg)
-        flow, lam, jump = steps[reg]
-        if n == jump_budget:
-            raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
-        t += tau
-        yield t, s, reg
-        n += 1
-
-
-def _float_reader(model: PdmpModel):
-    """:func:`flow_evolve` on a float-sequence state through the regimes'
-    tuple flows, returning a 1-D float64 array."""
-    dim = model.dim
-    flows = [r.float_step[0] for r in model.regimes]
-
-    def read(s, reg: int, dt: float) -> Array:
-        if dt < 0:
-            raise InvalidParam("flow_evolve needs t >= 0")
-        if len(s) != dim:
-            _as_state(s, dim)
-        if dt != 0.0:
-            s = flows[reg](dt, s)
-            if not all(map(math.isfinite, s)):
-                raise NonFinite(f"closed-form flow produced non-finite state at t={dt:.6g}")
-        return np.array(s, dtype=float)
-    return read
+        t, s, reg, (flow, lam, jump) = t_new, s_new, reg_new, step_new
 
 
 def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
@@ -385,26 +381,20 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
     When every regime has a ``float_step`` the path runs on plain floats with
     block-drawn levels: the same states and errors as the engine, in a
     different ``rng`` end state."""
-    x = as_vector(x0)
-    reg = int(regime0)
-    t_seg = 0.0
-    if all(r.float_step is not None for r in model.regimes):
-        events = _float_events(model, x, reg, rng, horizon, jump_budget)
-        read = _float_reader(model)
-        x = x.tolist()
-    else:
-        events = ((t, ev.state_post, ev.regime_post)
-                  for t, _, ev in iter_events(model, x, reg, rng, horizon, jump_budget))
-        regimes = model.regimes
-
-        def read(x, reg, dt):
-            return flow_evolve(regimes[reg].flow, x, dt)
+    steps = [r.float_step for r in model.regimes]
+    if None not in steps:
+        yield from ((np.array(s, dtype=float), reg) for s, reg in _float_reads(
+            steps, model.dim, x0, regime0, rng, horizon, times, jump_budget))
+        return
+    x, reg, t_seg = as_vector(x0), int(regime0), 0.0
+    events = iter_events(model, x, reg, rng, horizon, jump_budget)
     nxt = next(events, None)
     for t in times:
         while nxt is not None and nxt[0] <= t:
-            t_seg, x, reg = nxt
+            t_seg, _, ev = nxt
+            x, reg = ev.state_post, ev.regime_post
             nxt = next(events, None)
-        yield read(x, reg, t - t_seg), reg
+        yield flow_evolve(model.regimes[reg].flow, x, t - t_seg), reg
 
 
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
@@ -421,11 +411,58 @@ def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
     return Trajectory(model=model, segments=segments, jumps=jumps, horizon=horizon)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_M32, _MULT_A, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH_A16 = 0x43B0D7E5 * _MULT_A ** 16 & _M32   # hashmix's constant after 16 calls
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple:
+    """``SeedSequence(seed, spawn_key=...)``'s pool before the key is mixed in."""
+    return tuple(np.random.SeedSequence([seed & _M32, seed >> 32, 0, 0]).pool.tolist())
+
+
+class _PathSeed(ISpawnableSeedSequence):
+    """``SeedSequence(seed, spawn_key=(index,))`` held as the Philox key it
+    generates; the real one is built, once, only to spawn or for other words."""
+
+    def __init__(self, seed: int, index: int, key: list):
+        self.seed, self.index, self.key = seed, index, key
+
+    @cached_property
+    def real(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.seed, spawn_key=(self.index,))
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 2 and dtype == np.uint64:
+            return np.array(self.key, dtype=np.uint64)
+        return self.real.generate_state(n_words, dtype)
+
+    def spawn(self, n_children):
+        return self.real.spawn(n_children)
+
+
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Decorrelated counter-based stream for one path of an ensemble."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(seed=ss))
+    """Decorrelated counter-based stream for one path of an ensemble: numpy's
+    ``SeedSequence(seed mod 2**64, spawn_key=(path_index,))`` Philox stream,
+    bit for bit, with the key hashed here without building the SeedSequence."""
+    seed, i = int(seed) & (2**64 - 1), int(path_index)
+    if i < 0:
+        raise InvalidParam(f"path_index must be >= 0, got {i}")
+    pool, const = list(_seed_pool(seed)), _HASH_A16
+    for s in range(0, max(i.bit_length(), 1), 32):   # the index's words, low first
+        w = i >> s & _M32
+        for d in range(4):      # pool[d] = mix(pool[d], hashmix(w))
+            v = (w ^ const) * (const := const * _MULT_A & _M32) & _M32
+            v = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
+            pool[d] = v ^ v >> 16
+    const = _INIT_B
+    for d in range(4):          # generate_state(2, np.uint64)
+        v = (pool[d] ^ const) * (const := const * _MULT_B & _M32) & _M32
+        pool[d] = v ^ v >> 16
+    key = [pool[0] | pool[1] << 32, pool[2] | pool[3] << 32]
+    return np.random.Generator(np.random.Philox(seed=_PathSeed(seed, i, key)))
 
 
 @dataclass
@@ -441,20 +478,6 @@ class EnsembleResult:
     errors: list                    # [(path_index, PdmpError), ...]
 
 
-def _run_path(model: PdmpModel, initial_sampler, horizon: float, snaps: Array,
-              seed: int, i: int, out: EnsembleResult, jump_budget: int) -> None:
-    rng = path_rng(seed, i)
-    x0, r0 = initial_sampler(rng)
-    try:
-        reads = read_path(model, x0, r0, rng, horizon, [*snaps.tolist(), horizon], jump_budget)
-        for k, (x, reg) in zip(range(snaps.size), reads):
-            out.snapshot_states[k, i] = x
-            out.snapshot_regimes[k, i] = reg
-        out.final_states[i], out.final_regimes[i] = next(reads)
-    except PdmpError as exc:  # collected, never aborts the ensemble
-        out.errors.append((i, exc))
-
-
 def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths: int,
                       seed: int, snapshot_times: Sequence[float] = (),
                       jump_budget: int = DEFAULT_JUMP_BUDGET) -> EnsembleResult:
@@ -462,7 +485,8 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
 
     ``initial_sampler(rng) -> (state, regime)`` draws the initial condition
     from the same per-path stream, so the whole ensemble is reproducible from
-    (seed, n_paths, model, snapshot_times) alone.
+    (seed, n_paths, model, snapshot_times) alone.  A path that raises a
+    :class:`PdmpError` keeps its earlier reads; the error goes to ``errors``.
     """
     if n_paths < 1:
         raise InvalidParam("n_paths must be >= 1")
@@ -479,8 +503,20 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
         horizon=horizon,
         errors=[],
     )
+    steps, times = [r.float_step for r in model.regimes], [*out.snapshot_times, horizon]
     for i in range(n_paths):
-        _run_path(model, initial_sampler, horizon, snaps, seed, i, out, jump_budget)
+        rng = path_rng(seed, i)
+        x0, r0 = initial_sampler(rng)
+        try:
+            reads = (read_path(model, x0, r0, rng, horizon, times, jump_budget)
+                     if None in steps else
+                     _float_reads(steps, dim, x0, r0, rng, horizon, times, jump_budget))
+            for k, (x, reg) in zip(range(snaps.size), reads):
+                out.snapshot_states[k, i] = x
+                out.snapshot_regimes[k, i] = reg
+            out.final_states[i], out.final_regimes[i] = next(reads)
+        except PdmpError as exc:  # collected, never aborts the ensemble
+            out.errors.append((i, exc))
     return out
 
 

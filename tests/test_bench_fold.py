@@ -40,6 +40,8 @@ def test_fold_two_runs_of_one_workload(tmp_path):
     assert rec["seconds"] == [34.0]
     assert rec["failed"] == 3 and rec["attempted"] == 300
     assert rec["median"] == {"wall_s": 2.5, "work_per_s": 11.0}
+    assert rec["q1"] == {"wall_s": 2.25, "work_per_s": 10.5}
+    assert rec["q3"] == {"wall_s": 2.75, "work_per_s": 12.5}
     assert rec["source"] == [
         {"git_sha": "abc", "git_dirty": False, "src_sha256": "sabc"},
         {"git_sha": "def", "git_dirty": False, "src_sha256": "sdef"},
@@ -57,3 +59,18 @@ def test_fold_keeps_trace_modes_apart(tmp_path):
     out = fold([plain, tmp_path / "b.json"])
     assert sorted(out) == ["paths_recorded-trace0", "paths_recorded-trace1"]
     assert out["paths_recorded-trace0"]["median"] == {"wall_s": 1.0, "work_per_s": 5.0}
+
+
+def test_quartiles_match_numpy_percentiles(tmp_path):
+    import numpy as np
+    fold = _load_fold()
+    walls = [2.0, 9.0, 3.5, 4.0, 1.0, 6.0, 2.5, 8.0, 3.0, 5.0]
+    paths = [_result(tmp_path / f"{k}.json", 97, 0, 10, w, 1.0 / w, "abc")
+             for k, w in enumerate(walls)]
+    rec = fold(paths)["paths_recorded-trace0"]
+    q1, med, q3 = np.percentile(walls, [25, 50, 75])
+    assert rec["median"]["wall_s"] == med
+    assert (rec["q1"]["wall_s"], rec["q3"]["wall_s"]) == (q1, q3)
+    # one run: both quartiles are the run's value
+    one = fold(paths[:1])["paths_recorded-trace0"]
+    assert one["q1"] == one["median"] == one["q3"] == {"wall_s": 2.0, "work_per_s": 0.5}

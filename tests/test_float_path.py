@@ -126,6 +126,48 @@ def test_ensembles_match_the_engine(name):
     assert not a.errors and not b.errors
 
 
+def test_partly_failing_ensemble_matches_the_engine():
+    # regime 0 jumps at rate 1, regime 1 at rate 50 and overruns the budget
+    # near t = 0.6; in regime 0 a path flagged k = 1 jumps to NaN once x > 2
+    def jump(s, reg):
+        x, k = s
+        return ((math.nan if k == 1.0 and x > 2.0 else x + 1.0), k), reg
+
+    flow = Flow(dim=2, rhs=lambda x: np.array([1.0, 0.0]),
+                closed_form=TupleFlow(lambda t, s: (s[0] + t, s[1])))
+    model = PdmpModel("partial", tuple(
+        Regime(r, flow, hazards=(HazardChannel(Hazard.constant(rate),
+                                               JumpKernel(TupleMap(jump))),))
+        for r, rate in enumerate((1.0, 50.0))))
+
+    def init(rng):
+        return np.array([0.0, float(rng.integers(2))]), int(rng.integers(2))
+
+    snaps = [0.0, 0.25, 1.0, 2.0, 3.0]
+    runs = [simulate_ensemble(m, init, 4.0, 60, seed=31, snapshot_times=snaps, jump_budget=30)
+            for m in (model, engine_twin(model))]
+    for key in ("snapshot_states", "snapshot_regimes", "final_states", "final_regimes"):
+        a, b = (getattr(run, key) for run in runs)
+        assert (a.tobytes(), a.dtype, a.shape) == (b.tobytes(), b.dtype, b.shape), key
+        assert a.flags.c_contiguous and b.flags.c_contiguous, key
+    fast, slow = runs
+    assert [(i, type(e)) for i, e in fast.errors] == [(i, type(e)) for i, e in slow.errors]
+    failed = [i for i, _ in fast.errors]
+    assert failed == sorted(failed) and 0 < len(failed) < 60
+    assert {type(e) for _, e in fast.errors} == {JumpBudgetExceeded, NonFinite}
+    for i in range(60):
+        regs = fast.snapshot_regimes[:, i].tolist()
+        written = np.isfinite(fast.snapshot_states[:, i]).all(axis=1).tolist()
+        assert written == [r != -1 for r in regs]
+        if i in failed:
+            # earlier reads stay written, the rest keep their fill values
+            n = written.index(False) if False in written else len(written)
+            assert n >= 1 and not any(written[n:])
+            assert fast.final_regimes[i] == -1 and np.isnan(fast.final_states[i]).all()
+        else:
+            assert all(written) and fast.final_regimes[i] != -1
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_reads_at_jump_times_and_horizon(name):
     model, x0, regime0, horizon = CASES[name]

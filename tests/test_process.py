@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pdmpkit
 from pdmpkit import (
@@ -263,6 +265,62 @@ class TestEnsemble:
         assert len(ens.errors) == 4
         assert all(type(exc) is JumpBudgetExceeded for _, exc in ens.errors)
         assert np.all(np.isnan(ens.final_states))
+
+
+def numpy_path_rng(seed, i):
+    """The stream ``path_rng`` reproduces, built through numpy's SeedSequence."""
+    ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(i,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def assert_same_stream(seed, i):
+    got, ref = path_rng(seed, i), numpy_path_rng(seed, i)
+    key = got.bit_generator.state["state"]["key"]
+    assert key.tolist() == ref.bit_generator.state["state"]["key"].tolist()
+    assert got.exponential(size=70).tobytes() == ref.exponential(size=70).tobytes()
+    assert got.uniform(size=5).tobytes() == ref.uniform(size=5).tobytes()
+    assert got.integers(0, 2**62, size=5).tolist() == ref.integers(0, 2**62, size=5).tolist()
+    for a, b in zip(got.bit_generator.seed_seq.spawn(2), ref.bit_generator.seed_seq.spawn(2)):
+        assert (a.entropy, a.spawn_key) == (b.entropy, b.spawn_key)
+        assert a.generate_state(4).tolist() == b.generate_state(4).tolist()
+
+
+class TestPathRng:
+    """``path_rng`` hashes the Philox key itself; every stream must be the one
+    numpy's ``SeedSequence(seed mod 2**64, spawn_key=(i,))`` gives, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, -1, -(2**40) - 7, 2**32, 2**64 + 12345, 3 * 2**70 + 1])
+    @pytest.mark.parametrize("i", [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 + 5])
+    def test_explicit_cases_match_numpy(self, seed, i):
+        assert_same_stream(seed, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2**80), 2**80), st.integers(0, 2**80))
+    @example(97, 7554)
+    def test_matches_numpy(self, seed, i):
+        assert_same_stream(seed, i)
+
+    def test_fresh_generator_per_call(self):
+        a, b = path_rng(3, 1), path_rng(3, 1)
+        assert a.bit_generator is not b.bit_generator
+        assert a.uniform() == b.uniform()
+
+    def test_spawned_children_continue_numbering(self):
+        got, ref = path_rng(8, 2), numpy_path_rng(8, 2)
+        for _ in range(2):
+            pairs = zip(got.spawn(2), ref.spawn(2))
+            assert all(a.uniform() == b.uniform() for a, b in pairs)
+
+    def test_other_state_requests_match_numpy(self):
+        got, ref = path_rng(-5, 2**33).bit_generator.seed_seq, numpy_path_rng(-5, 2**33)
+        for n_words, dtype in [(8, np.uint32), (4, np.uint64), (2, np.uint32)]:
+            assert (got.generate_state(n_words, dtype).tolist()
+                    == ref.bit_generator.seed_seq.generate_state(n_words, dtype).tolist())
+
+    @pytest.mark.parametrize("i", [-1, -(2**40)])
+    def test_negative_index_is_invalid(self, i):
+        with pytest.raises(InvalidParam, match="path_index"):
+            path_rng(0, i)
 
 
 class TestStateConversion:
