@@ -23,7 +23,7 @@ from .config import (
     population_spec,
     validate_config,
 )
-from .csvout import F17, write_csv
+from .csvout import write_csv
 from .errors import ConfigError, InvalidParam, PdmpError
 from .models import SwitchingFields, simulate_population
 from .process import (
@@ -105,8 +105,8 @@ def cmd_stationary(cfg: dict, out: Path) -> list:
         n = int(cfg.get("stationary", {}).get("grid_n", 256))
         grid = Grid1D(0.0, dens.fields.a, n)
         path = out / "fstar.csv"
-        write_csv(path, ["cell_center", "regime", "density"],
-                  ([F17(x), r, F17(f(x))] for r, f in enumerate((dens.f0, dens.f1))
+        write_csv(path, ["cell_center", "regime", "density"], "%.17g,%s,%.17g",
+                  ((x, r, f(x)) for r, f in enumerate((dens.f0, dens.f1))
                    for x in grid.centers))
         artifacts.append(str(path))
     path = out / "report.json"
@@ -210,11 +210,11 @@ def cmd_population(cfg: dict, out: Path, seed: int) -> list:
         float(section["horizon"]), path_rng(seed, 0),
         snapshot_times=snaps, max_cells=spec["max_cells"])
     events_path = out / "events.csv"
-    write_csv(events_path, ["t", "kind", "parent_size", "n_after"],
-              ([F17(ev.t), ev.kind, F17(ev.parent_size), ev.n_after] for ev in result.events))
+    write_csv(events_path, ["t", "kind", "parent_size", "n_after"], "%.17g,%s,%.17g,%s",
+              ((ev.t, ev.kind, ev.parent_size, ev.n_after) for ev in result.events))
     snap_path = out / "population_snapshots.csv"
-    write_csv(snap_path, ["t_snap", "cell_index", "size"],
-              ([F17(t), i, F17(x)] for t, sizes in zip(result.snapshot_times, result.snapshots)
+    write_csv(snap_path, ["t_snap", "cell_index", "size"], "%.17g,%s,%.17g",
+              ((t, i, x) for t, sizes in zip(result.snapshot_times, result.snapshots)
                for i, x in enumerate(sizes)))
     summary = {
         "schema_version": 1,

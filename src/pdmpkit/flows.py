@@ -114,7 +114,7 @@ class Hazard:
     @staticmethod
     def constant(value: float) -> "Hazard":
         value = float(value)
-        if value < 0:
+        if not value >= 0:      # NaN fails too
             raise InvalidParam("constant hazard rate must be nonnegative")
         return Hazard(rate=lambda x, _v=value: _v, upper_bound=value, const_rate=value)
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Un
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-from .csvout import F17, write_csv
+from .csvout import write_csv
 from .errors import (
     HorizonExceeded,
     InvalidParam,
@@ -97,15 +97,23 @@ class BoundaryHit:
     event_fn: Callable[[Array], float]
 
 
+class _Labelled:
+    """A jump cause's label goes unquoted into the CSV jump log."""
+
+    def __post_init__(self):
+        if not isinstance(self.label, str) or any(c in self.label for c in ',"\r\n'):
+            raise InvalidParam(f"label {self.label!r} needs to be a str without , \" \\r \\n")
+
+
 @dataclass(frozen=True)
-class DeterministicClock:
+class DeterministicClock(_Labelled):
     kind: Union[FixedDelay, BoundaryHit]
     target: JumpKernel
     label: str = "clock"
 
 
 @dataclass(frozen=True)
-class HazardChannel:
+class HazardChannel(_Labelled):
     hazard: Hazard
     kernel: JumpKernel
     label: str = "jump"
@@ -491,7 +499,7 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
     if n_paths < 1:
         raise InvalidParam("n_paths must be >= 1")
     snaps = np.asarray(sorted(snapshot_times), dtype=float)
-    if snaps.size and (snaps[0] < 0 or snaps[-1] > horizon):
+    if not ((snaps >= 0) & (snaps <= horizon)).all():     # NaN fails too
         raise InvalidParam("snapshot times must lie in [0, horizon]")
     dim = model.dim
     out = EnsembleResult(
@@ -532,17 +540,17 @@ def trajectories_to_csv(trajectories: Sequence[Trajectory], path) -> None:
     dim = trajectories[0].model.dim
     header = (["path_id", "t", "event_kind", "regime_pre", "regime_post"]
               + [f"pre_s{k}" for k in range(dim)] + [f"post_s{k}" for k in range(dim)])
-    write_csv(path, header, (
-        [pid, F17(j.t), j.kind, j.regime_pre, j.regime_post]
-        + [F17(v) for v in j.state_pre.tolist()] + [F17(v) for v in j.state_post.tolist()]
+    write_csv(path, header, "%s,%.17g,%s,%s,%s" + ",%.17g" * (2 * dim), (
+        (pid, j.t, j.kind, j.regime_pre, j.regime_post, *j.state_pre.tolist(),
+         *j.state_post.tolist())
         for pid, traj in enumerate(trajectories) for j in traj.jumps))
 
 
 def _snapshots_csv(path, dim: int, rows) -> None:
     """Time slices from (path_id, t_snap, state, regime) tuples."""
     write_csv(path, ["path_id", "t_snap", "regime"] + [f"s{k}" for k in range(dim)],
-              ([pid, F17(t), reg] + [F17(v) for v in state.tolist()]
-               for pid, t, state, reg in rows))
+              "%s,%.17g,%s" + ",%.17g" * dim,
+              ((pid, t, reg, *state.tolist()) for pid, t, state, reg in rows))
 
 
 def snapshots_to_csv(ensemble: EnsembleResult, path) -> None:

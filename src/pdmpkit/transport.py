@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .csvout import F17, write_csv
+from .csvout import write_csv
 from .errors import (
     CflViolation,
     DtMisaligned,
@@ -124,7 +124,7 @@ def density_from(grid: Grid1D, f0s) -> DensityGrid:
 
 def _audit(density, kind: str) -> None:
     for v in _value_blocks(density):    # each bound below fails on NaN too
-        vmin = float(np.min(v))
+        vmin = float(v.min())
         if not vmin >= -POSITIVITY_TOL:
             raise MassAuditError(f"{kind}: negative or NaN density {vmin:.3e} appeared")
         if not vmin > 0.0:      # scrub roundoff-level negatives and -0.0
@@ -158,33 +158,37 @@ def _cell_rates(grid: Grid1D, rate: Callable[[float], float], what: str) -> Arra
     return rates
 
 
-def _split_speeds(g_edges: Array) -> Tuple[Array, Array]:
-    """The upwind split (max(g, 0), min(g, 0)) of the edge speeds."""
-    return np.maximum(g_edges, 0.0), np.minimum(g_edges, 0.0)
+class _Upwind:
+    """Conservative upwind updates of ``u`` in place, along its last axis.
 
-
-def _flux_buffers(shape: Tuple[int, ...]) -> Tuple[Array, Array]:
-    """Work arrays of :func:`_upwind_step` for a density of ``shape``."""
-    return np.empty((shape[0] + 1,) + shape[1:]), np.empty(shape)
-
-
-def _upwind_step(u: Array, speeds, buffers, dt: float, h: float) -> float:
-    """One conservative upwind update in place; returns the boundary outflow mass.
-
-    Works on 1-D arrays and on 2-D arrays whose first axis is the transport
-    direction (each column advected with the same speeds, shaped (n + 1, 1)).
-    ``buffers`` come from :func:`_flux_buffers`; they are free on return.
+    ``g_edges`` holds the speeds at the n + 1 cell edges, shaped to broadcast
+    against ``u``.  Every slice a step works on is cut here, once per
+    ``advance``.  After a step, ``first`` and ``last`` hold the fluxes through
+    the two boundary edges, and the buffers ``flux`` and ``diff`` are free
+    until the next step.
     """
-    gp, gm = speeds
-    flux, diff = buffers
-    np.multiply(gp[1:-1], u[:-1], out=flux[1:-1])
-    flux[1:-1] += np.multiply(gm[1:-1], u[1:], out=diff[1:])
-    np.multiply(gm[:1], u[:1], out=flux[:1])    # outflow only where the field points outward
-    np.multiply(gp[-1:], u[-1:], out=flux[-1:])
-    np.subtract(flux[1:], flux[:-1], out=diff)
-    diff *= dt / h
-    u -= diff
-    return float(np.sum(flux[-1]) - np.sum(flux[0])) * dt
+
+    def __init__(self, u: Array, g_edges: Array):
+        gp, gm = np.maximum(g_edges, 0.0), np.minimum(g_edges, 0.0)
+        self.u, self.diff = u, np.empty_like(u)
+        self.flux = flux = np.empty_like(u, shape=u.shape[:-1] + (u.shape[-1] + 1,))
+        self.first, self.last = flux[..., 0], flux[..., -1]
+        self._products = ((gp[..., 1:-1], u[..., :-1], flux[..., 1:-1]),
+                          (gm[..., 1:-1], u[..., 1:], self.diff[..., 1:]),
+                          # outflow only where the field points outward
+                          (gm[..., :1], u[..., :1], flux[..., :1]),
+                          (gp[..., -1:], u[..., -1:], flux[..., -1:]))
+        self._difference = (flux[..., 1:], flux[..., :-1], self.diff)
+
+    def step(self, dt: float, h: float) -> None:
+        (gp, u_lo, inner), (gm, u_hi, diff_hi), first, last = self._products
+        np.multiply(gp, u_lo, out=inner)
+        inner += np.multiply(gm, u_hi, out=diff_hi)
+        np.multiply(*first)
+        np.multiply(*last)
+        diff = np.subtract(*self._difference)
+        diff *= dt / h
+        self.u -= diff
 
 
 class _FixedStepSolver:
@@ -218,12 +222,13 @@ class LiouvilleSolver(_FixedStepSolver):
         self.g_edges = _edge_speeds(grid, g, dt)
 
     def _work(self, density: DensityGrid, dt: float):
-        return _split_speeds(self.g_edges), _flux_buffers(density.values[0].shape)
+        return _Upwind(density.values[0], self.g_edges)
 
     def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
-        speeds, buffers = self._work(density, dt) if work is None else work
-        density.outflow += _upwind_step(density.values[0], speeds, buffers, dt, self.grid.h)
+        up = self._work(density, dt) if work is None else work
+        up.step(dt, self.grid.h)
+        density.outflow += float(up.last - up.first) * dt
         density.time += dt
         _audit(density, "liouville")
 
@@ -262,16 +267,15 @@ class SwitchingSolver(_FixedStepSolver):
         s = self.q0_c + self.q1_c
         ratio = np.divide(self.q1_c, s, out=np.zeros_like(s), where=self._active)
         e = np.exp(np.multiply(np.negative(s, out=s), dt, out=s), out=s)    # exp(-s dt)
-        return ([_split_speeds(ge) for ge in self.g_edges],
-                _flux_buffers(density.values[0].shape), (ratio, e))
+        up = _Upwind(density.values, np.stack(self.g_edges))    # both regimes at once
+        return up, (ratio, e, *density.values, *up.diff)
 
-    def _exchange(self, u: Array, buffers, ratio: Array, e: Array) -> None:
-        """Exact exchange exp(Q dt) in place, worked in the free upwind buffers.
+    def _exchange(self, ratio: Array, e: Array, u0, u1, m, eq0) -> None:
+        """Exact exchange exp(Q dt) of rows u0, u1 in place, worked in the free rows m, eq0.
 
         Only the active cells are written; the others keep their values.
         """
-        u0, u1 = u
-        m, eq0, w = buffers[1], buffers[0][:u0.size], self._active
+        w = self._active
         np.add(u0, u1, out=m)
         np.multiply(ratio, m, out=eq0)     # the equilibrium share of regime 0
         np.subtract(u0, eq0, out=u1, where=w)      # u1 is free until its last line
@@ -281,11 +285,11 @@ class SwitchingSolver(_FixedStepSolver):
 
     def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
-        speeds, buffers, exchange = self._work(density, dt) if work is None else work
-        for i in (0, 1):
-            density.outflow += _upwind_step(density.values[i], speeds[i], buffers,
-                                            dt, self.grid.h)
-        self._exchange(density.values, buffers, *exchange)
+        up, exchange = self._work(density, dt) if work is None else work
+        up.step(dt, self.grid.h)
+        for out in ((up.last - up.first) * dt).tolist():   # regime 0, then 1
+            density.outflow += out
+        self._exchange(*exchange)
         density.time += dt
         _audit(density, "switching")
 
@@ -314,18 +318,18 @@ class CellCycleSolver(_FixedStepSolver):
             raise CflViolation("dt * max(phi) exceeds 0.5")
 
     def _work(self, density: DensityGrid, dt: float):
-        return (_split_speeds(self.g_edges), _flux_buffers(density.values[0].shape),
-                dt * self.phi_c)
+        up, half = _Upwind(density.values[0], self.g_edges), self.grid.n // 2
+        # division pairs the loss of cells 2k, 2k + 1 (in the free buffers) into cell k
+        return up, dt * self.phi_c, (up.u[:half], up.diff[0::2], up.diff[1::2], up.flux[:half])
 
     def step(self, density: DensityGrid, dt: Optional[float] = None, work=None) -> None:
         dt = self.dt if dt is None else dt
-        speeds, (flux, diff), dt_phi = self._work(density, dt) if work is None else work
-        u = density.values[0]
-        density.outflow += _upwind_step(u, speeds, (flux, diff), dt, self.grid.h)
-        loss = np.multiply(dt_phi, u, out=diff)     # the upwind buffers are free again
-        u -= loss
-        half = self.grid.n // 2
-        u[:half] += np.add(loss[0::2], loss[1::2], out=flux[:half])
+        up, dt_phi, (u_half, loss_even, loss_odd, gain) = (
+            self._work(density, dt) if work is None else work)
+        up.step(dt, self.grid.h)
+        density.outflow += float(up.last - up.first) * dt
+        up.u -= np.multiply(dt_phi, up.u, out=up.diff)
+        u_half += np.add(loss_even, loss_odd, out=gain)
         density.time += dt
         _audit(density, "cell_cycle")
 
@@ -422,20 +426,20 @@ class TwoPhaseSolver:
         self._substep = 0
 
     def _work(self, density: TwoPhaseDensity):
-        gp, gm = _split_speeds(self.g_edges)
-        return ((gp, gm), _flux_buffers(density.f_a.shape), (gp[:, None], gm[:, None]),
-                _flux_buffers(density.f_b.shape), self.dt * self.phi_c)
+        # f_b advects along x, its first axis: its transpose keeps the memory order
+        return (_Upwind(density.f_a, self.g_edges), _Upwind(density.f_b.T, self.g_edges),
+                self.dt * self.phi_c)
 
     def step(self, density: TwoPhaseDensity, work=None) -> None:
-        speeds_a, (flux_a, diff_a), speeds_b, buffers_b, dt_phi = (
-            self._work(density) if work is None else work)
+        up_a, up_b, dt_phi = self._work(density) if work is None else work
         dt, h = self.dt, self.x_grid.h
-        density.outflow += _upwind_step(density.f_a, speeds_a, (flux_a, diff_a), dt, h)
-        out_b = _upwind_step(density.f_b, speeds_b, buffers_b, dt, h)
-        density.outflow += out_b * density.dy
+        up_a.step(dt, h)
+        density.outflow += float(up_a.last - up_a.first) * dt
+        up_b.step(dt, h)
+        density.outflow += float(up_b.last.sum() - up_b.first.sum()) * dt * density.dy
 
         # boundary condition f_b(.,0) = phi f_a; the f_a upwind buffers are free again
-        loss = np.multiply(dt_phi, density.f_a, out=diff_a)
+        loss = np.multiply(dt_phi, density.f_a, out=up_a.diff)
         density.f_a -= loss
         density.staging += loss
 
@@ -443,13 +447,13 @@ class TwoPhaseSolver:
         if self._substep == self.k:
             self._substep = 0
             dy = density.dy
-            exit_col = flux_a[:-1]
+            exit_col = up_a.flux[:-1]
             np.copyto(exit_col, density.f_b[:, -1])
             flat = density.f_b.reshape(-1)     # a 1-D overlapping copy needs no temporary;
             flat[1:] = flat[:-1]                # the column 0 it wraps into is overwritten next
             np.divide(density.staging, dy, out=density.f_b[:, 0])
             density.staging[:] = 0.0
-            gain = np.add(exit_col[0::2], exit_col[1::2], out=diff_a[:exit_col.size // 2])
+            gain = np.add(exit_col[0::2], exit_col[1::2], out=up_a.diff[:exit_col.size // 2])
             gain *= dy
             density.f_a[:gain.size] += gain
         density.time += dt
@@ -526,8 +530,7 @@ def density_to_csv(density: Union[DensityGrid, TwoPhaseDensity], path) -> None:
     else:   # f_a, then the phase-B marginal
         centers = density.x_grid.centers
         blocks = (density.f_a, density.f_b.sum(axis=1) * density.dy + density.staging)
-    t = F17(density.time)
-    xs = [F17(x) for x in centers.tolist()]
-    write_csv(path, ["t", "regime", "cell_center", "value"],
-              ([t, r, x, F17(v)] for r, vals in enumerate(blocks)
-               for x, v in zip(xs, vals.tolist())))
+    # t and the cell centers repeat in every block: format them once
+    t, xs = "%.17g" % density.time, ["%.17g" % x for x in centers.tolist()]
+    write_csv(path, ["t", "regime", "cell_center", "value"], "%s,%s,%s,%.17g",
+              ((t, r, x, v) for r, vals in enumerate(blocks) for x, v in zip(xs, vals.tolist())))

@@ -220,6 +220,8 @@ class TestSampleJumpTime:
             hz.rate_at(np.array([1.0]))
         with pytest.raises(InvalidParam):
             Hazard.constant(-2.0)
+        with pytest.raises(InvalidParam):
+            Hazard.constant(float("nan"))
 
 
 class TestBoundaryHit:

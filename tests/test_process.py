@@ -413,6 +413,21 @@ class TestExport:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("snaps", [[1.0, math.nan], [math.nan], [-1.0], [1.0, 6.0]])
+    def test_snapshot_times_outside_horizon_or_nan_rejected(self, snaps):
+        with pytest.raises(InvalidParam, match="snapshot times"):
+            simulate_ensemble(make_telegraph(1.0, 1.0), lambda rng: (np.array([0.0, 1.0]), 0),
+                              5.0, 3, 1, snapshot_times=snaps)
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb", None])
+    def test_label_that_csv_would_quote_rejected(self, label):
+        kernel = JumpKernel(lambda x, r, rng: (x, r))
+        with pytest.raises(InvalidParam, match="label"):
+            HazardChannel(Hazard.constant(1.0), kernel, label)
+        with pytest.raises(InvalidParam, match="label"):
+            DeterministicClock(FixedDelay(1.0), kernel, label)
+        HazardChannel(Hazard.constant(1.0), kernel, "a b-c_d.e")
+
     def test_regime_needs_cause_or_absorbing(self):
         with pytest.raises(InvalidParam):
             Regime(0, frozen_flow())
