@@ -1,15 +1,16 @@
 """Byte-level regression guard: SHA-256 of every artifact of a fixed set of runs.
 
 The digests pin five fast shipped configs plus one tiny ``evolve`` run per
-grid-solver model and ten ``simulate`` runs: unrecorded telegraph, logistic
+grid-solver model and eleven ``simulate`` runs: unrecorded telegraph, logistic
 birth_switch and gene_expression ensembles (constant-rate route, read off a
 streamed path with a snapshot at t = 0) and recorded runs of
 gene_expression with a state-dependent rate (thinning route), rubinow with and
 without a closed-form flow (bracketed root-finding, and the root on a
 Dormand-Prince step's interpolant), allee (Dormand-Prince flow), cell_cycle_1p
 without a closed form (augmented-ODE inverse of the cumulative hazard) and
-with one (Chebyshev-panel inverse), and
-cell_cycle_2p with a closed-form flow and a fixed phase-B delay.  Two birth_switch analysis runs pin the
+with one (Chebyshev-panel inverse), cell_cycle_2p with a closed-form flow and
+a fixed phase-B delay, and stein (a kernel that draws, a ``domain`` check and
+a fixed refractory delay).  Two birth_switch analysis runs pin the
 ``stationary`` command on a stable set (the r0 route, which writes
 ``fstar.csv``) and ``classify`` on a sweeping set.  Five library cases pin
 the raw bytes of grid-solver arrays on paths the CLI runs do not reach: a
@@ -126,6 +127,11 @@ SIMULATE = {
                   "g_closed_form": "x0 * exp(0.6 * t)"},
         "simulate": {"x0": [1.0, 0.0], "regime0": 0, "horizon": 4.0, "n_paths": 2,
                      "snapshot_times": [1.0, 4.0]}},
+    "recorded:stein": {
+        "model": {"name": "stein", "alpha": 1.0, "a_E": 0.3, "a_I": 0.2, "lambda_E": 3.0,
+                  "lambda_I": 1.0, "theta": 1.0, "t_R": 0.2},
+        "simulate": {"x0": [0.0, 0.0], "regime0": 0, "horizon": 5.0, "n_paths": 2,
+                     "snapshot_times": [1.0, 5.0]}},
 }
 
 
@@ -325,6 +331,11 @@ GOLDEN = {
         "snapshots.csv": "cc7951408c1bbe724c6ab27d32d367edd55a18608069b2e3355cd37306982a02",
         "summary.json": "f491d39bcfada05ac442412eac1c2246d8ba4e40b3dc8982a3facf8fa2a00957",
         "trajectories.csv": "e08ffe01847ac73e035d9686a2ee4fe77d647dba53fdb02f1a9cacae3427b802",
+    },
+    "recorded:stein": {
+        "snapshots.csv": "30b71b3a9cd9a632d0d3387371116d3cd50b673700dec998ec097f26cd5235af",
+        "summary.json": "da7fa987217dfbe67a478b9b7d8ed81bb0528cdbcf46bef9972ef637e97ff4e6",
+        "trajectories.csv": "3a072a645e198fd4024d59b2a100035473f5053ba2558f81faf9a87213e9cc18",
     },
     "evolve:telegraph": {
         "density.csv": "8f2fe611a21a313ac0efc048cd56495bb9596483ece12a9bc9871c6bb528fe69",
