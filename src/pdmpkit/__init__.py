@@ -13,6 +13,7 @@ from .flows import (
     QTransform,
     TupleField,
     TupleFlow,
+    TupleFn,
     boundary_hit_time,
     cumulative_hazard,
     flow_evolve,

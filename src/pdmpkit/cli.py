@@ -237,23 +237,15 @@ def run(command: str, cfg: dict, out_dir, seed=None) -> dict:
     seed = int(cfg.get("seed", 12345) if seed is None else seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if command == "simulate":
-        artifacts = cmd_simulate(cfg, out, seed)
-    elif command == "stationary":
-        artifacts = cmd_stationary(cfg, out)
-    elif command == "classify":
-        artifacts = cmd_classify(cfg, out)
-    elif command == "evolve":
-        artifacts = cmd_evolve(cfg, out)
-    elif command == "compare":
-        artifacts = cmd_compare(cfg, out)
-    elif command == "hormander":
-        artifacts = cmd_hormander(cfg, out)
-    elif command == "population":
-        artifacts = cmd_population(cfg, out, seed)
-    else:  # pragma: no cover - validate_config already rejects
-        raise ConfigError(f"unknown command {command!r}", key="command")
-    return {"status": "ok", "command": command, "artifacts": artifacts}
+    # validate_config admits only these commands
+    commands = {"simulate": lambda: cmd_simulate(cfg, out, seed),
+                "stationary": lambda: cmd_stationary(cfg, out),
+                "classify": lambda: cmd_classify(cfg, out),
+                "evolve": lambda: cmd_evolve(cfg, out),
+                "compare": lambda: cmd_compare(cfg, out),
+                "hormander": lambda: cmd_hormander(cfg, out),
+                "population": lambda: cmd_population(cfg, out, seed)}
+    return {"status": "ok", "command": command, "artifacts": commands[command]()}
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul, sub, truediv
 from typing import Callable, Optional, Sequence
 
@@ -33,66 +33,86 @@ TOL_EVENT = 1e-10   # time accuracy of event / hazard-crossing localisation
 HORIZON_CAP = 1e6   # default survival cap for jump-time sampling
 
 
-class TupleFlow:
-    """An exact flow written on plain floats: ``fn(t, s) -> s'`` with ``s`` and
-    ``s'`` sequences of ``dim`` Python floats (``fn`` gets a tuple or a list and
-    returns a tuple).  Calling it as ``(t, x0)`` with a 1-D float64 array gives
-    an array, so it serves as a :attr:`Flow.closed_form`; a streamed path whose
-    every regime has one (see :class:`~pdmpkit.process.Regime`) is read off
-    the tuples directly."""
+class FloatForm:
+    """Marks a callable written on plain floats; ``fn`` is what the engine calls."""
 
     __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[[float, Sequence[float]], tuple]):
+    def __init__(self, fn: Callable):
         self.fn = fn
+
+
+class TupleFlow(FloatForm):
+    """An exact flow on plain floats: ``fn(t, s) -> s'``, ``s`` a tuple or a list
+    of ``dim`` floats and ``s'`` a tuple; called as ``(t, x0)`` with a 1-D float64
+    array it gives an array.  The streamed reader runs it (see ``Regime``)."""
 
     def __call__(self, t: float, x: Array) -> Array:
         return np.array(self.fn(t, x.tolist()))
 
 
-class TupleField:
-    """A vector field on plain floats: ``fn(s)`` maps a sequence of ``dim``
-    floats to a tuple of ``dim`` floats.  Called with a 1-D float64 array it
-    gives an array, so it serves as a :attr:`Flow.rhs`."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Sequence[float]], tuple]):
-        self.fn = fn
+class TupleField(FloatForm):
+    """A vector field on plain floats: ``fn(s)`` maps ``dim`` floats to a tuple
+    of them.  Called with a 1-D float64 array it gives an array."""
 
     def __call__(self, x: Array) -> Array:
         return np.array(self.fn(x.tolist()))
 
 
+class TupleFn(FloatForm):
+    """A hazard rate or event function ``fn(s) -> float``, a domain ``fn(s) ->
+    bool`` or a jump kernel ``fn(s, regime, rng) -> (s', regime'[, label])`` on
+    plain floats: ``s`` a sequence of floats, ``s'`` a tuple of them."""
+
+
+def _floats(v) -> tuple:
+    """An array-contract state (1-D array, list, 0-d array or scalar) as a tuple of floats."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim > 1:
+        raise InvalidParam(f"state must be 1-D, got shape {a.shape}")
+    return tuple(a.tolist()) if a.ndim else (float(a),)
+
+
+def tuple_form(fn: Callable, marker: type, out: Callable, at: int = 0) -> Callable:
+    """``fn`` on plain floats: a ``marker``'s own ``fn``, or ``fn`` behind the
+    adapter of the array contract, which hands it argument ``at`` (the state)
+    as a float64 array and passes its result through ``out``."""
+    if isinstance(fn, marker):
+        return fn.fn
+    if at:
+        return lambda t, s: out(fn(t, np.array(s, dtype=float)))
+    return lambda s, *rest: out(fn(np.array(s, dtype=float), *rest))
+
+
 @dataclass(frozen=True)
 class Flow:
-    """Deterministic motion law for one regime.
-
-    ``rhs`` is the vector field g(x) on a 1-D float64 array; the integrator
-    calls a :class:`TupleField`'s ``fn`` on lists of floats, any other rhs with
-    an array in and out per stage.  ``closed_form(t, x0)`` is an optional
-    exact solution used instead of numerical integration wherever available;
-    return a 1-D float64 ndarray of length ``dim``, or pay a conversion per call.
-    A :class:`TupleFlow` is the tuple form of that contract: its ``fn(t, s)``
-    maps a sequence of ``dim`` floats to a tuple of ``dim`` floats, the same
-    numbers the array form gives, and never reads anything but its arguments.
-    ``jacobian(x)`` (d x d) is only needed for Lie-bracket computations.
-    """
+    """Deterministic motion law for one regime: the vector field ``rhs`` and
+    optionally an exact solution ``closed_form(t, x0)``, used instead of
+    numerical integration wherever available.  Each is a callable of the array
+    contract (a 1-D float64 array in; an array, list or scalar out) or its
+    float form, a :class:`TupleField` or :class:`TupleFlow` that gives the same
+    numbers; ``tuple_rhs`` and ``tuple_closed`` hold the float forms.
+    ``jacobian(x)`` (d x d) is only needed for Lie-bracket computations."""
 
     dim: int
     rhs: Callable[[Array], Array]
     closed_form: Optional[Callable[[float, Array], Array]] = None
     jacobian: Optional[Callable[[Array], Array]] = None
+    tuple_rhs: Callable = field(init=False, repr=False, compare=False)
+    tuple_closed: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidParam("Flow.dim must be a positive integer")
+        object.__setattr__(self, "tuple_rhs", tuple_form(self.rhs, TupleField, _floats))
+        object.__setattr__(self, "tuple_closed", self.closed_form and
+                           tuple_form(self.closed_form, TupleFlow, _floats, at=1))
 
 
 @dataclass(frozen=True)
 class Hazard:
-    """State-dependent jump intensity, with an optional dominating constant.
-
+    """State-dependent jump intensity ``rate`` (array contract or :class:`TupleFn`;
+    ``tuple_rate`` is its float form), with an optional dominating constant:
     ``const_rate`` marks a hazard that is constant in the state; samplers then
     reduce to plain exponential draws.  ``upper_bound`` enables thinning.
     ``rate_along(ts, x0)``, when present, evaluates the rate along the flow at
@@ -104,24 +124,26 @@ class Hazard:
     upper_bound: Optional[float] = None
     const_rate: Optional[float] = None
     rate_along: Optional[Callable[[Array, Array], Array]] = None
+    tuple_rate: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.upper_bound is not None and self.upper_bound < 0:
+        if self.upper_bound is not None and not self.upper_bound >= 0:    # NaN fails too
             raise InvalidParam("Hazard.upper_bound must be nonnegative")
-        if self.const_rate is not None and self.const_rate < 0:
+        if self.const_rate is not None and not self.const_rate >= 0:
             raise InvalidParam("constant hazard rate must be nonnegative")
+        object.__setattr__(self, "tuple_rate", tuple_form(self.rate, TupleFn, float))
 
     @staticmethod
     def constant(value: float) -> "Hazard":
         value = float(value)
         if not value >= 0:      # NaN fails too
             raise InvalidParam("constant hazard rate must be nonnegative")
-        return Hazard(rate=lambda x, _v=value: _v, upper_bound=value, const_rate=value)
+        return Hazard(rate=TupleFn(lambda s, _v=value: _v), upper_bound=value, const_rate=value)
 
-    def rate_at(self, x: Array) -> float:
-        r = float(self.rate(x))
+    def rate_at(self, s) -> float:
+        r = float(self.tuple_rate(s))
         if r < 0:
-            raise InvalidParam(f"hazard rate is negative ({r:.3g}) at x={x!r}")
+            raise InvalidParam(f"hazard rate is negative ({r:.3g}) at x={s!r}")
         return r
 
 
@@ -147,27 +169,14 @@ class CumulativeHazard:
         return -np.expm1(-self.values)
 
 
-_F64 = np.dtype(float)
-
-
-def as_vector(v) -> Array:
-    """``np.atleast_1d(np.asarray(v, dtype=float))``, returning a 1-D float64
-    ndarray as it is (the same object) without paying for those calls."""
-    if type(v) is np.ndarray and v.dtype == _F64 and v.ndim == 1:
-        return v
-    return np.atleast_1d(np.asarray(v, dtype=float))
-
-
-def all_finite(a: Array) -> bool:
-    """``np.all(np.isfinite(a))`` for a float array, without numpy's per-call cost."""
-    return all(map(math.isfinite, a.flat))
-
-
-def _as_state(x0, dim: int) -> Array:
-    x = as_vector(x0)
+def _state(x0, dim: int) -> tuple:
+    """``x0`` as the engine's state: a tuple of ``dim`` Python floats, as it is if it is one."""
+    if type(x0) is tuple and len(x0) == dim and all(type(v) is float for v in x0):
+        return x0
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (dim,):
         raise InvalidParam(f"state must have shape ({dim},), got {x.shape}")
-    return x
+    return tuple(x.tolist())
 
 
 # Dormand & Prince (1980) 5(4): stage rows (the last gives the 5th-order end
@@ -259,33 +268,31 @@ def _dopri(f, y: list, t_end: float, caller: str):
         t, y, k = t_new, y_new, ks[-1]
 
 
-def _field(flow: Flow):
-    """``flow.rhs`` on lists of floats."""
-    rhs = flow.rhs
-    return rhs.fn if isinstance(rhs, TupleField) else (
-        lambda y: np.asarray(rhs(np.array(y)), dtype=float).tolist())
+def evolve(flow: Flow, s: tuple, t: float) -> tuple:
+    """:func:`flow_evolve` on the engine's state, for ``t >= 0``."""
+    if t == 0.0:
+        return s
+    closed = flow.tuple_closed
+    if closed is not None:
+        out = closed(t, s)
+        if not all(map(math.isfinite, out)):
+            raise NonFinite(f"closed-form flow produced non-finite state at t={t:.6g}")
+        return out
+    for step in _dopri(flow.tuple_rhs, list(s), t, "flow integration"):
+        pass
+    return tuple(step.y1)
 
 
 def flow_evolve(flow: Flow, x0, t: float) -> Array:
     """Return the flow position after time ``t >= 0`` starting from ``x0``."""
     if t < 0:
         raise InvalidParam("flow_evolve needs t >= 0")
-    x = _as_state(x0, flow.dim)
-    if t == 0.0:
-        return x.copy()
-    if flow.closed_form is not None:
-        out = as_vector(flow.closed_form(t, x))
-        if not all_finite(out):
-            raise NonFinite(f"closed-form flow produced non-finite state at t={t:.6g}")
-        return out
-    for step in _dopri(_field(flow), x.tolist(), t, "flow integration"):
-        pass
-    return np.array(step.y1)
+    return np.array(evolve(flow, _state(x0, flow.dim), t), dtype=float)
 
 
 def _augmented_field(flow: Flow, hz: Hazard):
-    g, rate_at = _field(flow), hz.rate_at
-    return lambda y: (*g(y[:-1]), rate_at(np.array(y[:-1])))
+    g, rate_at = flow.tuple_rhs, hz.rate_at
+    return lambda y: (*g(y[:-1]), rate_at(y[:-1]))
 
 
 def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> CumulativeHazard:
@@ -294,7 +301,7 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> Cumula
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0 or np.any(ts < 0):
         raise InvalidParam("cumulative_hazard needs a nonempty grid of times t >= 0")
-    x = _as_state(x0, flow.dim)
+    x = _state(x0, flow.dim)
     t_max = float(ts.max())
     if hz.const_rate is not None:
         return CumulativeHazard(ts=ts, values=hz.const_rate * ts)
@@ -302,7 +309,7 @@ def cumulative_hazard(flow: Flow, hz: Hazard, x0, ts: Sequence[float]) -> Cumula
         return CumulativeHazard(ts=ts, values=np.zeros_like(ts))
 
     f = _augmented_field(flow, hz)
-    sol = solve_ivp(lambda s, y: f(y.tolist()), (0.0, t_max), [*x.tolist(), 0.0],
+    sol = solve_ivp(lambda s, y: f(y.tolist()), (0.0, t_max), [*x, 0.0],
                     method="RK45", rtol=TOL_FLOW, atol=ATOL_FLOW, dense_output=True)
     if not sol.success:
         raise NonFinite(f"hazard integration failed: {sol.message}")
@@ -401,24 +408,23 @@ class _ChebPanel:
         return min(max(t, self.a), self.b)
 
 
-def _rate_nodes(flow: Flow, hz: Hazard, x0: Array):
+def _rate_nodes(flow: Flow, hz: Hazard, x0: tuple):
     """Node evaluator for panels; uses the vectorized hook when available."""
-    if hz.rate_along is not None:
-        def eval_nodes(ts):
-            vals = np.asarray(hz.rate_along(ts, x0), dtype=float)
-            if np.any(vals < 0):
-                raise InvalidParam("hazard rate is negative along the flow")
-            return vals
-    else:
-        def eval_nodes(ts):
-            return np.array([
-                hz.rate_at(as_vector(flow.closed_form(t, x0)))
-                for t in ts
-            ])
+    along, closed, rate_at = hz.rate_along, flow.tuple_closed, hz.rate_at
+    if along is None:
+        return lambda ts: np.array([rate_at(closed(t, x0)) for t in ts.tolist()])
+    x0 = np.array(x0)
+
+    def eval_nodes(ts):
+        vals = np.asarray(along(ts, x0), dtype=float)
+        if np.any(vals < 0):
+            raise InvalidParam("hazard rate is negative along the flow")
+        return vals
     return eval_nodes
 
 
-def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: Array, xi: float, horizon: float) -> float:
+def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: tuple, xi: float,
+                              horizon: float) -> float:
     """Invert the cumulative hazard using quadrature on the closed-form flow."""
     eval_nodes = _rate_nodes(flow, hz, x0)
     acc = 0.0
@@ -481,7 +487,7 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
     """
     if horizon <= 0:
         raise InvalidParam("sampling horizon must be positive")
-    x = _as_state(x0, flow.dim)
+    x = _state(x0, flow.dim)
     xi = rng.exponential()
 
     if hz.const_rate is not None:
@@ -504,7 +510,7 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
             if t + dt > horizon:
                 raise HorizonExceeded(horizon, float("nan"))
             t += dt
-            x_cur = flow_evolve(flow, x_cur, dt)
+            x_cur = evolve(flow, x_cur, dt)
             r = hz.rate_at(x_cur)
             if r > ub * (1.0 + 1e-9):
                 raise InvalidParam(
@@ -513,16 +519,23 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
             if rng.uniform() * ub <= r:
                 return t
 
-    if flow.closed_form is not None:
+    if flow.tuple_closed is not None:
         return _inverse_time_closed_form(flow, hz, x, xi, horizon)
     return next(t_lo + crossing for t_lo, _, crossing in hazard_chunks(
-        _augmented_field(flow, hz), x.tolist(), 0.0, horizon, xi) if crossing is not None)
+        _augmented_field(flow, hz), x, 0.0, horizon, xi) if crossing is not None)
+
+
+def _scan_points(t_a: float, t_b: float, n: int = 16) -> list:
+    """``np.linspace(t_a, t_b, n + 1)[1:]`` bit for bit, as numpy computes it."""
+    step = (t_b - t_a) / n
+    return [i * step + t_a if step else i / n * (t_b - t_a) + t_a for i in range(1, n)] + [t_b]
 
 
 def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
                       t_max: float) -> Optional[float]:
     """First time in (0, t_max] at which ``event_fn`` changes sign along the flow.
 
+    ``event_fn`` is a callable of the array contract or a :class:`TupleFn`.
     Returns None when no crossing occurs.  With a closed-form flow the event
     function is scanned on doubling panels and refined by bracketed
     root-finding; otherwise its sign is tested at each integrator step's end
@@ -530,38 +543,36 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
     """
     if t_max <= 0:
         return None
-    x = _as_state(x0, flow.dim)
+    x = _state(x0, flow.dim)
+    event = tuple_form(event_fn, TupleFn, float)
+    closed = flow.tuple_closed
 
-    if flow.closed_form is not None:
+    if closed is not None:
         def h_at(t):
-            return float(event_fn(as_vector(flow.closed_form(t, x))))
+            return float(event(closed(t, x)))
 
         h_prev = h_at(0.0)
         t_prev = 0.0
         t_a = 0.0
         width = min(1.0, t_max)
-        n_sub = 16
         while t_a < t_max:
             t_b = min(t_a + width, t_max)
-            for t in np.linspace(t_a, t_b, n_sub + 1)[1:]:
+            for t in _scan_points(t_a, t_b):
                 h = h_at(t)
                 if h == 0.0:
-                    return float(t)
+                    return t
                 if h_prev * h < 0.0:
                     return brentq(h_at, t_prev, t, xtol=TOL_EVENT)
-                t_prev, h_prev = float(t), h
+                t_prev, h_prev = t, h
             t_a = t_b
             width = min(2.0 * width, t_max)
         return None
 
-    def h_at(y):
-        return float(event_fn(np.array(y)))
-
-    h_prev = h_at(x)
-    for step in _dopri(_field(flow), x.tolist(), t_max, "boundary detection"):
-        h = h_at(step.y1)
+    h_prev = event(x)
+    for step in _dopri(flow.tuple_rhs, list(x), t_max, "boundary detection"):
+        h = event(step.y1)
         if (h_prev <= 0.0 <= h) or (h_prev >= 0.0 >= h):
-            t_hit = step.crossing(h_at)
+            t_hit = step.crossing(event)
             return t_hit if t_hit > 0.0 else None
         h_prev = h
     return None

@@ -21,7 +21,7 @@ from .errors import (
     PdmpError,
     PopulationBlowup,
 )
-from .flows import Flow, Hazard, TupleField, TupleFlow, hazard_chunks
+from .flows import Flow, Hazard, TupleField, TupleFlow, TupleFn, hazard_chunks
 from .lazy import brentq, quad
 from .lazy import solve_ivp  # unused; the benchmark tracer patches this binding
 from .process import (
@@ -56,7 +56,7 @@ def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None,
     """Hazard acting on the first state component; constants keep their fast path."""
     if not callable(spec):
         return Hazard.constant(float(spec))
-    rate = lambda x, _f=spec: float(_f(float(x[0])))
+    rate = TupleFn(lambda s, _f=spec: float(_f(s[0])))
     ub = None
     if bound_grid is not None:
         vals = np.array([float(spec(v)) for v in bound_grid])
@@ -67,8 +67,7 @@ def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None,
 
 
 def _check_positive_on(fn: Callable[[float], float], xs: Array, constraint: str) -> None:
-    vals = np.array([float(fn(x)) for x in xs])
-    _require(bool(np.all(vals > 0)), constraint)
+    _require(all(float(fn(x)) > 0 for x in xs), constraint)
 
 
 def _vector_rate_along(g_closed_form, phi_fn) -> Optional[Callable]:
@@ -151,9 +150,10 @@ class GrowthDivision:
         """The growth flow of x, or of the two-phase state (x, y) with y' = y_speed."""
         g, gc = self.g, self.g_closed_form
         if y_speed is None:
-            closed = None if gc is None else lambda t, x: np.array([gc(t, x[0])])
+            closed = None if gc is None else TupleFlow(lambda t, s: (float(gc(t, s[0])),))
             return Flow(dim=1, rhs=TupleField(lambda s: (g(s[0]),)), closed_form=closed)
-        closed = None if gc is None else lambda t, s: np.array([gc(t, s[0]), s[1] + y_speed * t])
+        closed = None if gc is None else TupleFlow(
+            lambda t, s: (float(gc(t, s[0])), s[1] + y_speed * t))
         return Flow(dim=2, rhs=TupleField(lambda s: (g(s[0]), y_speed)), closed_form=closed)
 
 
@@ -204,15 +204,15 @@ def make_grasshopper(lam: float, jump_sampler: Callable[[np.random.Generator], f
     _require(lam > 0, "lam > 0")
     flow = Flow(dim=dim,
                 rhs=lambda x: np.zeros_like(x),
-                closed_form=lambda t, x: x.copy(),
+                closed_form=TupleFlow(lambda t, s: tuple(s)),
                 jacobian=lambda x: np.zeros((dim, dim)))
 
-    def kernel(x, regime, rng):
-        y = np.atleast_1d(np.asarray(jump_sampler(rng), dtype=float))
-        return x + y, 0
+    def kernel(s, regime, rng):
+        y = np.atleast_1d(np.asarray(jump_sampler(rng), dtype=float)).tolist()
+        return tuple(a + b for a, b in zip(s, y * dim if len(y) == 1 else y, strict=True)), 0
 
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(lam),
-                                                    JumpKernel(kernel), "jump"),))
+                                                    JumpKernel(TupleFn(kernel)), "jump"),))
     return PdmpModel("grasshopper", (regime,), {"lam": lam, "dim": dim})
 
 
@@ -264,14 +264,11 @@ def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     _check_positive_on(g_fn, np.linspace(m, 2.0 * m, 33), "g > 0 on [m, 2m]")
     closed = None
     if g_closed_form is not None:
-        closed = lambda t, x: np.atleast_1d(np.asarray(g_closed_form(t, float(x[0])), dtype=float))
+        closed = TupleFlow(lambda t, s: (float(g_closed_form(t, s[0])),))
     flow = Flow(dim=1, rhs=TupleField(lambda s: (g_fn(s[0]),)), closed_form=closed)
-
-    def split(x, regime, rng):
-        return np.array([m]), 0
-
-    clock = DeterministicClock(BoundaryHit(lambda x: 2.0 * m - x[0]),
-                               JumpKernel(split), "division")
+    born = (float(m),)
+    clock = DeterministicClock(BoundaryHit(TupleFn(lambda s: 2.0 * m - s[0])),
+                               JumpKernel(TupleMap(lambda s, regime: (born, 0))), "division")
     regime = Regime(0, flow, clocks=(clock,))
     return PdmpModel("rubinow", (regime,), {"g": g, "m": m})
 
@@ -285,19 +282,15 @@ def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
     _validate_growth_division(p.g, p.phi_fn)
     hazard = _state_hazard(p.phi, rate_along=_vector_rate_along(p.g_closed_form, p.phi))
     if p.t_B is None:
-        def divide(x, regime, rng):
-            return x * 0.5, 0
-
+        # a TupleFn, not a TupleMap: the streamed reader runs only the switching
+        # and telegraph models
+        divide = TupleFn(lambda s, regime, rng: ((s[0] * 0.5,), 0))
         regime = Regime(0, p.flow(), hazards=(HazardChannel(hazard, JumpKernel(divide),
                                                             "division"),))
         return PdmpModel("cell_cycle_1p", (regime,), {"g": p.g, "phi": p.phi})
 
-    def enter_b(s, regime, rng):
-        return np.array([s[0], 0.0]), 1
-
-    def divide_b(s, regime, rng):
-        return np.array([0.5 * s[0], 0.0]), 0
-
+    enter_b = TupleMap(lambda s, regime: ((s[0], 0.0), 1))
+    divide_b = TupleMap(lambda s, regime: ((0.5 * s[0], 0.0), 0))
     regime_a = Regime(0, p.flow(0.0),
                       hazards=(HazardChannel(hazard, JumpKernel(enter_b), "phase_b_entry"),))
     regime_b = Regime(1, p.flow(1.0),
@@ -399,29 +392,27 @@ def make_stein(p: SteinParams) -> PdmpModel:
     lam = p.lambda_E + p.lambda_I
     flow_sub = Flow(dim=2,
                     rhs=lambda s: np.array([-p.alpha * s[0], 0.0]),
-                    closed_form=lambda t, s: np.array([s[0] * math.exp(-p.alpha * t), s[1]]))
+                    closed_form=TupleFlow(lambda t, s: (s[0] * math.exp(-p.alpha * t), s[1])))
     flow_ref = Flow(dim=2,
                     rhs=lambda s: np.array([-p.alpha * s[0], 1.0]),
-                    closed_form=lambda t, s: np.array([s[0] * math.exp(-p.alpha * t), s[1] + t]))
+                    closed_form=TupleFlow(lambda t, s: (s[0] * math.exp(-p.alpha * t),
+                                                        s[1] + t)))
 
     def synapse(s, regime, rng):
         v = s[0]
         if rng.uniform() * lam < p.lambda_E:
             if v < p.theta - p.a_E:
-                return np.array([v + p.a_E, 0.0]), 0, "excite"
-            return np.array([0.0, 0.0]), 1, "fire"
-        return np.array([v - p.a_I, 0.0]), 0, "inhibit"
-
-    def wake(s, regime, rng):
-        return np.array([0.0, 0.0]), 0
+                return (v + p.a_E, 0.0), 0, "excite"
+            return (0.0, 0.0), 1, "fire"
+        return (v - p.a_I, 0.0), 0, "inhibit"
 
     regime_sub = Regime(0, flow_sub,
-                        hazards=(HazardChannel(Hazard.constant(lam), JumpKernel(synapse),
+                        hazards=(HazardChannel(Hazard.constant(lam), JumpKernel(TupleFn(synapse)),
                                                "synapse"),),
-                        domain=lambda s: s[0] < p.theta)
+                        domain=TupleFn(lambda s: s[0] < p.theta))
     regime_ref = Regime(1, flow_ref,
-                        clocks=(DeterministicClock(FixedDelay(p.t_R), JumpKernel(wake),
-                                                   "refractory_end"),))
+                        clocks=(DeterministicClock(FixedDelay(p.t_R), JumpKernel(TupleMap(
+                            lambda s, regime: ((0.0, 0.0), 0))), "refractory_end"),))
     return PdmpModel("stein", (regime_sub, regime_ref), {
         "alpha": p.alpha, "a_E": p.a_E, "a_I": p.a_I, "lambda_E": p.lambda_E,
         "lambda_I": p.lambda_I, "theta": p.theta, "t_R": p.t_R,

@@ -26,8 +26,8 @@ from .errors import (
     NonFinite,
     PdmpError,
 )
-from .flows import (Flow, Hazard, TupleFlow, _as_state, all_finite, as_vector,
-                    boundary_hit_time, flow_evolve, sample_jump_time)
+from .flows import (FloatForm, Flow, Hazard, TupleFlow, TupleFn, _floats, _state,
+                    boundary_hit_time, evolve, flow_evolve, sample_jump_time, tuple_form)
 
 Array = np.ndarray
 
@@ -37,44 +37,49 @@ BLOCK = 64      # Exp(1) levels drawn per call by the plain-float path reader
 KernelFn = Callable[[Array, int, np.random.Generator], tuple]
 
 
-class TupleMap:
-    """A jump that draws nothing, written on plain floats: ``fn(s, regime) ->
-    (s', regime')`` with ``s`` a sequence of Python floats (a tuple or a list)
-    and ``s'`` a tuple of them.  Used as a :class:`JumpKernel` sampler it takes
-    ``(x, regime, rng)``, returns an array state and never hands ``rng`` to
-    ``fn``."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Sequence[float], int], tuple]):
-        self.fn = fn
+class TupleMap(FloatForm):
+    """A jump that draws nothing, on plain floats: ``fn(s, regime) -> (s',
+    regime')``, ``s`` a tuple or a list of floats and ``s'`` a tuple; the
+    streamed reader runs it (see :class:`Regime`).  Called as ``(x, regime,
+    rng)`` with a 1-D float64 array it returns an array state."""
 
     def __call__(self, x: Array, regime: int, rng: np.random.Generator):
         state, reg = self.fn(x.tolist(), regime)
         return np.array(state), reg
 
 
+@lru_cache(maxsize=1024)
+def _plain(label: str) -> bool:
+    return not any(c in label for c in ',"\r\n')
+
+
+def _check_label(label) -> None:
+    """A label goes unquoted into the CSV jump log; each distinct one is checked once."""
+    if not (isinstance(label, str) and _plain(label)):
+        raise InvalidParam(f"label {label!r} needs to be a str without , \" \\r \\n")
+
+
 @dataclass(frozen=True)
 class JumpKernel:
-    """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label]).
-
-    Return the state as a 1-D float64 ndarray, or pay a conversion on every jump.
-    A :class:`TupleMap` sampler is the tuple form of that contract for a jump
-    that draws nothing: the same post-jump numbers, from the pre-jump floats
-    and the regime alone.
-    """
+    """Post-jump law: sampler(pre_state, regime, rng) -> (state, regime[, label]),
+    of the array contract or a float form (a :class:`TupleMap`, or a
+    :class:`~pdmpkit.flows.TupleFn` that may draw); ``tuple_sampler`` is the float form."""
 
     sampler: KernelFn
+    tuple_sampler: Callable = field(init=False, repr=False, compare=False)
 
-    def apply(self, x: Array, regime: int, rng: np.random.Generator):
-        out = self.sampler(x, regime, rng)
-        if len(out) == 2:
-            state, reg = out
-            label = None
-        else:
-            state, reg, label = out
-        state = as_vector(state)
-        if not all_finite(state):
+    def __post_init__(self):
+        k = self.sampler
+        object.__setattr__(self, "tuple_sampler", (
+            lambda s, regime, rng, _f=k.fn: _f(s, regime)) if isinstance(k, TupleMap) else
+            tuple_form(k, TupleFn, lambda out: (_floats(out[0]), *out[1:])))
+
+    def apply(self, s: tuple, regime: int, rng: np.random.Generator):
+        out = self.tuple_sampler(s, regime, rng)
+        state, reg, label = out if len(out) == 3 else (*out, None)
+        if label is not None:
+            _check_label(label)
+        if not all(map(math.isfinite, state)):
             raise NonFinite("jump kernel produced a non-finite state")
         return state, int(reg), label
 
@@ -92,17 +97,19 @@ class FixedDelay:
 
 @dataclass(frozen=True)
 class BoundaryHit:
-    """Clock that fires when ``event_fn(x)`` crosses zero along the flow."""
+    """Clock that fires when ``event_fn(x)`` crosses zero along the flow;
+    ``tuple_event`` is its float form, a :class:`~pdmpkit.flows.TupleFn`."""
 
     event_fn: Callable[[Array], float]
+    tuple_event: TupleFn = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tuple_event", TupleFn(tuple_form(self.event_fn, TupleFn, float)))
 
 
 class _Labelled:
-    """A jump cause's label goes unquoted into the CSV jump log."""
-
     def __post_init__(self):
-        if not isinstance(self.label, str) or any(c in self.label for c in ',"\r\n'):
-            raise InvalidParam(f"label {self.label!r} needs to be a str without , \" \\r \\n")
+        _check_label(self.label)
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ class HazardChannel(_Labelled):
 
 @dataclass(frozen=True)
 class Regime:
-    """One dynamical mode: a flow plus the jump causes active in it."""
+    """One dynamical mode: a flow plus the jump causes active in it; ``tuple_domain``
+    is the float form of ``domain`` (array contract or :class:`~pdmpkit.flows.TupleFn`)."""
 
     index: int
     flow: Flow
@@ -129,6 +137,7 @@ class Regime:
     clocks: Tuple[DeterministicClock, ...] = ()
     absorbing: bool = False
     domain: Optional[Callable[[Array], bool]] = None
+    tuple_domain: Optional[Callable] = field(init=False, default=None, repr=False, compare=False)
     # the regime's one jump cause when it has one hazard and no clock
     sole_hazard: Optional[HazardChannel] = field(init=False, default=None, repr=False,
                                                  compare=False)
@@ -142,6 +151,8 @@ class Regime:
             h if isinstance(h, HazardChannel) else HazardChannel(*h) for h in self.hazards
         ))
         object.__setattr__(self, "clocks", tuple(self.clocks))
+        if self.domain is not None:
+            object.__setattr__(self, "tuple_domain", tuple_form(self.domain, TupleFn, bool))
         if len(self.hazards) == 1 and not self.clocks:
             ch = self.hazards[0]
             object.__setattr__(self, "sole_hazard", ch)
@@ -179,19 +190,20 @@ class PdmpModel:
 
 
 class EventResult(NamedTuple):
-    """Outcome of one resolved event, relative to the segment start."""
+    """Outcome of one resolved event, relative to the segment start; its states
+    are tuples from :func:`iter_events` and arrays from :func:`next_event`."""
 
     dt: float
     kind: str
-    state_pre: Array
-    state_post: Array
+    state_pre: Sequence[float]
+    state_post: Sequence[float]
     regime_post: int
 
 
 class Segment(NamedTuple):
     t_start: float
     regime: int
-    state: Array
+    state: tuple
 
 
 class JumpRecord(NamedTuple):
@@ -199,8 +211,8 @@ class JumpRecord(NamedTuple):
     kind: str
     regime_pre: int
     regime_post: int
-    state_pre: Array
-    state_post: Array
+    state_pre: tuple
+    state_post: tuple
 
 
 @dataclass
@@ -222,52 +234,12 @@ class Trajectory:
         return flow_evolve(flow, seg.state, t - seg.t_start), seg.regime
 
 
-def _earliest_cause(reg: Regime, x: Array, rng: np.random.Generator, t_max: float,
-                    elapsed_in_regime: float):
-    """(dt, rank, channel_index, kernel, label) of the earliest clock or hazard
-    firing within ``t_max``, or None; clocks get rank 0 so they win ties."""
-    best = None
-    for ci, clock in enumerate(reg.clocks):
-        if isinstance(clock.kind, FixedDelay):
-            dt = clock.kind.duration - elapsed_in_regime
-            if dt < 0.0:
-                dt = 0.0
-            if dt > t_max:
-                continue
-        else:
-            hit = boundary_hit_time(reg.flow, clock.kind.event_fn, x, t_max)
-            if hit is None:
-                continue
-            dt = hit
-        cand = (dt, 0, ci, clock.target, clock.label)
-        if best is None or cand[:3] < best[:3]:
-            best = cand
-
-    hz_cap = min(t_max, best[0]) if best is not None else t_max
-    for hi, ch in enumerate(reg.hazards):
-        try:
-            dt = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=hz_cap)
-        except HorizonExceeded:
-            continue
-        cand = (dt, 1, hi, ch.kernel, ch.label)
-        if best is None or cand[:3] < best[:3]:
-            best = cand
-    return best
-
-
-def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *,
-               t_max: float, elapsed_in_regime: float = 0.0) -> Optional[EventResult]:
-    """Resolve the earliest event among all hazards and clocks of the regime.
-
-    Returns None when nothing fires before ``t_max`` (the caller truncates the
-    segment there).  Fixed-delay clocks measure time since the regime was
-    entered, hence ``elapsed_in_regime``.
-    """
-    if t_max <= 0:
-        return None
+def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
+           t_max: float, elapsed_in_regime: float) -> Optional[EventResult]:
+    """:func:`next_event` for ``t_max > 0`` on and to tuples of floats."""
     reg = model.regimes[regime]
-    x = as_vector(state)
-
+    if len(x) != reg.flow.dim:
+        _state(x, reg.flow.dim)
     ch = reg.sole_hazard
     if ch is not None:
         try:
@@ -276,35 +248,68 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
             return None
         kernel, label = ch.kernel, ch.label
     else:
-        best = _earliest_cause(reg, x, rng, t_max, elapsed_in_regime)
+        best = None     # (dt, rank, channel index, kernel, label); clocks rank 0
+        for ci, clock in enumerate(reg.clocks):
+            if isinstance(clock.kind, FixedDelay):
+                dt = max(clock.kind.duration - elapsed_in_regime, 0.0)
+                if dt > t_max:
+                    continue
+            else:
+                dt = boundary_hit_time(reg.flow, clock.kind.tuple_event, x, t_max)
+                if dt is None:
+                    continue
+            cand = (dt, 0, ci, clock.target, clock.label)
+            if best is None or cand[:3] < best[:3]:
+                best = cand
+        hz_cap = min(t_max, best[0]) if best is not None else t_max
+        for hi, ch in enumerate(reg.hazards):
+            try:
+                dt = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=hz_cap)
+            except HorizonExceeded:
+                continue
+            cand = (dt, 1, hi, ch.kernel, ch.label)
+            if best is None or cand[:3] < best[:3]:
+                best = cand
         if best is None:
             return None
         dt, _, _, kernel, label = best
-    x_pre = flow_evolve(reg.flow, x, dt)
+    x_pre = evolve(reg.flow, x, dt)
     x_post, reg_post, kind = kernel.apply(x_pre, regime, rng)
-    target = model.regimes[reg_post]
-    if target.domain is not None and not target.domain(x_post):
+    domain = model.regimes[reg_post].tuple_domain
+    if domain is not None and not domain(x_post):
         raise InvalidParam(f"kernel left the domain of regime {reg_post}: state {x_post!r}")
     return EventResult(dt, kind or label, x_pre, x_post, reg_post)
+
+
+def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *,
+               t_max: float, elapsed_in_regime: float = 0.0) -> Optional[EventResult]:
+    """Resolve the earliest event among all hazards and clocks of the regime.
+
+    Returns None when nothing fires before ``t_max`` (the caller truncates the
+    segment there).  Fixed-delay clocks measure time since the regime was
+    entered, hence ``elapsed_in_regime``.  The states come back as 1-D float64
+    arrays.
+    """
+    if t_max <= 0:
+        return None
+    ev = _event(model, _state(state, model.dim), regime, rng, t_max, elapsed_in_regime)
+    return None if ev is None else ev._replace(state_pre=np.array(ev.state_pre, dtype=float),
+                                               state_post=np.array(ev.state_post, dtype=float))
 
 
 def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
                 horizon: float, jump_budget: int = DEFAULT_JUMP_BUDGET
                 ) -> Iterator[Tuple[float, int, EventResult]]:
     """Stream (absolute time, pre-jump regime, event) without storing the path;
-    one event more than ``jump_budget`` before the horizon raises instead."""
+    one event more than ``jump_budget`` before the horizon raises instead.
+    The events' states are tuples of floats."""
     if horizon <= 0:
         raise InvalidParam("horizon must be positive")
     if jump_budget < 0:
         raise InvalidParam("jump_budget must be >= 0")
-    t = 0.0
-    x = as_vector(x0)
-    reg = int(regime0)
-    entered = 0.0
-    n = 0
+    t, x, reg, entered, n = 0.0, _state(x0, model.dim), int(regime0), 0.0, 0
     while t < horizon:
-        ev = next_event(model, x, reg, rng, t_max=horizon - t,
-                        elapsed_in_regime=t - entered)
+        ev = _event(model, x, reg, rng, horizon - t, t - entered)
         if ev is None:
             return
         if n == jump_budget:
@@ -330,7 +335,7 @@ def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
     if jump_budget < 0:
         raise InvalidParam("jump_budget must be >= 0")
     isfinite = math.isfinite
-    s, reg = _as_state(x0, dim).tolist(), int(reg)
+    s, reg = list(_state(x0, dim)), int(reg)
     flow, lam, jump = steps[reg]
     reads = iter(times)
     t_read = next(reads, None)
@@ -339,7 +344,7 @@ def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
         # the event ending the segment (t, s, reg) is at t_new, None past the horizon
         t_new = None
         if len(s) != dim:
-            _as_state(s, dim)
+            _state(s, dim)
         if t < horizon:     # as the engine, nothing is drawn at the horizon
             if k == BLOCK:
                 xis, k = rng.exponential(size=BLOCK).tolist(), 0
@@ -394,7 +399,7 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
         yield from ((np.array(s, dtype=float), reg) for s, reg in _float_reads(
             steps, model.dim, x0, regime0, rng, horizon, times, jump_budget))
         return
-    x, reg, t_seg = as_vector(x0), int(regime0), 0.0
+    x, reg, t_seg = _state(x0, model.dim), int(regime0), 0.0
     events = iter_events(model, x, reg, rng, horizon, jump_budget)
     nxt = next(events, None)
     for t in times:
@@ -408,8 +413,9 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
                         rng: np.random.Generator,
                         jump_budget: int = DEFAULT_JUMP_BUDGET) -> Trajectory:
-    """Run the process to the horizon, recording every segment and jump."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    """Run the process to the horizon, recording every segment and jump; the
+    recorded states are tuples of floats."""
+    x = _state(x0, model.dim)
     segments = [Segment(0.0, int(regime0), x)]
     jumps = []
     for t_jump, reg_pre, ev in iter_events(model, x, regime0, rng, horizon, jump_budget):
@@ -541,8 +547,7 @@ def trajectories_to_csv(trajectories: Sequence[Trajectory], path) -> None:
     header = (["path_id", "t", "event_kind", "regime_pre", "regime_post"]
               + [f"pre_s{k}" for k in range(dim)] + [f"post_s{k}" for k in range(dim)])
     write_csv(path, header, "%s,%.17g,%s,%s,%s" + ",%.17g" * (2 * dim), (
-        (pid, j.t, j.kind, j.regime_pre, j.regime_post, *j.state_pre.tolist(),
-         *j.state_post.tolist())
+        (pid, j.t, j.kind, j.regime_pre, j.regime_post, *j.state_pre, *j.state_post)
         for pid, traj in enumerate(trajectories) for j in traj.jumps))
 
 

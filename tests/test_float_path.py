@@ -179,7 +179,7 @@ def test_reads_at_jump_times_and_horizon(name):
     traj = simulate_trajectory(model, x0, regime0, horizon, path_rng(11, 0))
     for j in traj.jumps:
         (_, _, data, reg), = [o for t, o in zip(times, out) if t == j.t]
-        assert data == j.state_post.tobytes() and reg == j.regime_post
+        assert data == np.asarray(j.state_post).tobytes() and reg == j.regime_post
 
 
 @pytest.mark.parametrize("name", list(CASES))

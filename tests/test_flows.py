@@ -222,6 +222,9 @@ class TestSampleJumpTime:
             Hazard.constant(-2.0)
         with pytest.raises(InvalidParam):
             Hazard.constant(float("nan"))
+        for bounds in ({"upper_bound": float("nan")}, {"const_rate": float("nan")}):
+            with pytest.raises(InvalidParam):
+                Hazard(rate=lambda x: 1.0, **bounds)
 
 
 class TestBoundaryHit:

@@ -428,6 +428,28 @@ class TestValidation:
             DeterministicClock(FixedDelay(1.0), kernel, label)
         HazardChannel(Hazard.constant(1.0), kernel, "a b-c_d.e")
 
+    @staticmethod
+    def labelling_model(label):
+        flow = Flow(dim=1, rhs=lambda x: np.zeros(1), closed_form=lambda t, x: x)
+        kernel = JumpKernel(lambda x, r, rng: (x, r, label))
+        return PdmpModel("labels", (Regime(0, flow, hazards=(
+            HazardChannel(Hazard.constant(1.0), kernel, "jump"),)),))
+
+    def test_kernel_label_that_csv_would_quote_rejected(self):
+        model = self.labelling_model("split,two")
+        with pytest.raises(InvalidParam, match="label"):
+            simulate_trajectory(model, [0.0], 0, 100.0, path_rng(2, 0))
+        with pytest.raises(InvalidParam, match="label"):
+            next_event(model, [0.0], 0, path_rng(2, 0), t_max=100.0)
+
+    def test_kernel_labels_checked_once_each(self):
+        model = self.labelling_model("checked_once")
+        seen = pdmpkit.process._plain.cache_info()
+        traj = simulate_trajectory(model, [0.0], 0, 50.0, path_rng(3, 0))
+        now = pdmpkit.process._plain.cache_info()
+        assert len(traj.jumps) > 10 and {j.kind for j in traj.jumps} == {"checked_once"}
+        assert (now.misses - seen.misses, now.hits - seen.hits) == (1, len(traj.jumps) - 1)
+
     def test_regime_needs_cause_or_absorbing(self):
         with pytest.raises(InvalidParam):
             Regime(0, frozen_flow())
