@@ -549,7 +549,7 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
 
     if closed is not None:
         def h_at(t):
-            return float(event(closed(t, x)))
+            return event(closed(t, x))
 
         h_prev = h_at(0.0)
         t_prev = 0.0
