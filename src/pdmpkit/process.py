@@ -97,8 +97,7 @@ class FixedDelay:
 
 @dataclass(frozen=True)
 class BoundaryHit:
-    """Clock that fires when ``event_fn(x)`` crosses zero along the flow;
-    ``tuple_event`` is its float form, a :class:`~pdmpkit.flows.TupleFn`."""
+    """Clock that fires when ``event_fn(x)`` crosses zero; ``tuple_event`` is its float form."""
 
     event_fn: Callable[[Array], float]
     tuple_event: TupleFn = field(init=False, repr=False, compare=False)
