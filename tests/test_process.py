@@ -324,8 +324,9 @@ class TestPathRng:
 
 
 class TestStateConversion:
-    """Canonical 1-D float64 states skip numpy's conversion calls; every other
-    form of state, kernel result or closed-form result is converted."""
+    """The engine's states are tuples of floats; every other form of state,
+    kernel result or closed-form result is converted, and a callable of the
+    array contract gets a 1-D float64 array."""
 
     @staticmethod
     def drift_model(closed_form, kernel):
@@ -369,6 +370,19 @@ class TestStateConversion:
             ref = next_event(ref_model, np.array([0.5]), 0, path_rng(seed, 0), t_max=50.0)
             ev = next_event(model, np.array([0.5]), 0, path_rng(seed, 0), t_max=50.0)
             self.assert_same_event(ev, ref)
+
+    @pytest.mark.parametrize("out", [[0.25, 2], (0.25, 2.0), np.array([0.25, 2], dtype=np.float32),
+                                     np.array([1, 2]), 1.5, np.array(1.5)],
+                             ids=["list", "tuple", "float32", "int_array", "scalar", "0d"])
+    def test_adapter_hands_float64_and_returns_python_floats(self, out):
+        seen = []
+        dim = np.size(out)
+        flow = Flow(dim=dim, rhs=lambda x: x,
+                    closed_form=lambda t, x: seen.append(x) or out)
+        got = flow.tuple_closed(0.5, (0.0,) * dim)
+        assert seen[0].dtype == np.float64 and seen[0].shape == (dim,)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert got == tuple(np.atleast_1d(np.asarray(out, dtype=float)).tolist())
 
     @pytest.mark.parametrize("closed_form", [lambda t, x: np.array([np.nan]),
                                              lambda t, x: [math.nan]],
