@@ -179,12 +179,8 @@ def _state(x0, dim: int) -> tuple:
     return tuple(x.tolist())
 
 
-# Dormand & Prince (1980) 5(4): stage rows (the last gives the 5th-order end
-# point), error weights, and per stage scipy RK45's quartic dense output
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-         (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+# Dormand & Prince (1980) 5(4): error weights, and per stage scipy RK45's
+# quartic dense output (the stage rows are written out in _dp_step)
 _DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 _DP_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
          (0, 0, 0, 0),
@@ -200,13 +196,21 @@ def _rms(values, scale) -> float:
     return math.hypot(*map(truediv, values, scale)) / math.sqrt(len(scale))
 
 
-def _dp_step(f, y: list, k, h: float):
-    """(5th-order end point, 7 stages) of a step of length h from y; k = f(y)."""
-    ks = [k]
-    for a in _DP_A:
-        y_new = [v + sum(map(mul, col, a)) * h for v, col in zip(y, zip(*ks))]
-        ks.append(f(y_new))
-    return y_new, ks
+def _dp_step(f, y: list, k1, h: float):
+    """(5th-order end point, 7 stages) of a step of length h from y; k1 = f(y).
+    Each stage sums its row's products from 0.0 in order, as ``sum`` does."""
+    k2 = f([v + (0.0 + a * (1 / 5)) * h for v, a in zip(y, k1)])
+    k3 = f([v + (0.0 + a * (3 / 40) + b * (9 / 40)) * h for v, a, b in zip(y, k1, k2)])
+    k4 = f([v + (0.0 + a * (44 / 45) + b * (-56 / 15) + c * (32 / 9)) * h
+            for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = f([v + (0.0 + a * (19372 / 6561) + b * (-25360 / 2187) + c * (64448 / 6561)
+                 + d * (-212 / 729)) * h for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = f([v + (0.0 + a * (9017 / 3168) + b * (-355 / 33) + c * (46732 / 5247) + d * (49 / 176)
+                 + e * (-5103 / 18656)) * h for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y1 = [v + (0.0 + a * (35 / 384) + b * 0 + c * (500 / 1113) + d * (125 / 192)
+               + e * (-2187 / 6784) + g * (11 / 84)) * h
+          for v, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)]
+    return y1, [k1, k2, k3, k4, k5, k6, f(y1)]
 
 
 class _Step(namedtuple("_Step", "f t0 t1 y0 y1 ks")):

@@ -189,8 +189,7 @@ class PdmpModel:
 
 
 class EventResult(NamedTuple):
-    """Outcome of one resolved event, relative to the segment start; its states
-    are tuples from :func:`iter_events` and arrays from :func:`next_event`."""
+    """One resolved event, relative to the segment start (array states from ``next_event``)."""
 
     dt: float
     kind: str
@@ -235,7 +234,7 @@ class Trajectory:
 
 def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
            t_max: float, elapsed_in_regime: float) -> Optional[EventResult]:
-    """:func:`next_event` for ``t_max > 0`` on and to tuples of floats."""
+    """:func:`next_event` for ``t_max > 0``, with states as tuples of floats."""
     reg = model.regimes[regime]
     if len(x) != reg.flow.dim:
         _state(x, reg.flow.dim)
@@ -299,9 +298,8 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
 def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
                 horizon: float, jump_budget: int = DEFAULT_JUMP_BUDGET
                 ) -> Iterator[Tuple[float, int, EventResult]]:
-    """Stream (absolute time, pre-jump regime, event) without storing the path;
-    one event more than ``jump_budget`` before the horizon raises instead.
-    The events' states are tuples of floats."""
+    """Stream (absolute time, pre-jump regime, event with tuple states) without
+    storing the path; one event more than ``jump_budget`` before the horizon raises."""
     if horizon <= 0:
         raise InvalidParam("horizon must be positive")
     if jump_budget < 0:
@@ -412,8 +410,7 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
                         rng: np.random.Generator,
                         jump_budget: int = DEFAULT_JUMP_BUDGET) -> Trajectory:
-    """Run the process to the horizon, recording every segment and jump; the
-    recorded states are tuples of floats."""
+    """Run the process to the horizon, recording every segment and jump (tuple states)."""
     x = _state(x0, model.dim)
     segments = [Segment(0.0, int(regime0), x)]
     jumps = []
