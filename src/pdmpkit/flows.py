@@ -198,7 +198,7 @@ def _rms(values, scale) -> float:
 
 def _dp_step(f, y: list, k1, h: float):
     """(5th-order end point, 7 stages) of a step of length h from y; k1 = f(y).
-    Each stage sums its row's products from 0.0 in order, as ``sum`` does."""
+    Each stage adds its row's products to 0.0 left to right (a -0.0 sum reads 0.0)."""
     k2 = f([v + (0.0 + a * (1 / 5)) * h for v, a in zip(y, k1)])
     k3 = f([v + (0.0 + a * (3 / 40) + b * (9 / 40)) * h for v, a, b in zip(y, k1, k2)])
     k4 = f([v + (0.0 + a * (44 / 45) + b * (-56 / 15) + c * (32 / 9)) * h
