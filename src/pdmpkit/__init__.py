@@ -11,8 +11,6 @@ from .flows import (
     Flow,
     Hazard,
     QTransform,
-    TupleField,
-    TupleFlow,
     TupleFn,
     boundary_hit_time,
     cumulative_hazard,

@@ -195,7 +195,7 @@ def cmd_compare(cfg: dict, out: Path) -> list:
 
 
 def cmd_hormander(cfg: dict, out: Path) -> list:
-    report = experiments.hormander_suite(cfg.get("hormander", {}))
+    report = experiments.hormander_suite(cfg.get("hormander", {}), "hormander")
     path = out / "report.json"
     _write_json(report, path)
     return [str(path)]

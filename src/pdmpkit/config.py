@@ -81,6 +81,16 @@ _COMPARE_KEYS = {
                         "seed"},
 }
 
+# the model parameter mappings of compare modes and of the hormander section
+_GENE_KEYS = _MODEL_KEYS["gene_expression"][0] - {"name"}
+_BIRTH_SWITCH_KEYS = _MODEL_KEYS["birth_switch"][0] - {"name"}
+_PARAM_MAPPINGS = {
+    "dwell_ks": {"model_params": _GENE_KEYS},
+    "gene_stationarity": {"model_params": _GENE_KEYS},
+    "hormander_suite": {"model_params": _GENE_KEYS},
+    "stability_alternative": {"stable": _BIRTH_SWITCH_KEYS, "sweeping": _BIRTH_SWITCH_KEYS},
+}
+
 _F0_KEYS = {"kind", "center", "width", "regime"}
 _STEADY_KEYS = {"tol", "t_max"}
 _JUMP_KEYS = {"kind", "value", "sigma"}
@@ -124,6 +134,42 @@ def _check_regime(section: dict, n_regimes: int, key: str, model: str) -> None:
                           key=key)
 
 
+def _finite(v) -> bool:
+    """A finite real number, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_simulate(section: dict) -> None:
+    def bad(key, what):
+        raise ConfigError(f"simulate.{key} must be {what}", key=f"simulate.{key}")
+
+    x0 = section["x0"]
+    if not (_finite(x0) or isinstance(x0, (list, tuple)) and x0 and all(map(_finite, x0))):
+        bad("x0", "a finite number or a nonempty list of them")
+    if type(section["regime0"]) is not int:
+        bad("regime0", "an integer")
+    if not (_finite(section["horizon"]) and section["horizon"] > 0):
+        bad("horizon", "a finite number > 0")
+    n_paths = section.get("n_paths", 1)
+    if type(n_paths) is not int or n_paths < 1:
+        bad("n_paths", "an integer >= 1")
+    snaps = section.get("snapshot_times", [])
+    if not (isinstance(snaps, (list, tuple)) and all(map(_finite, snaps))):
+        bad("snapshot_times", "a list of finite numbers")
+    if type(section.get("record_trajectories", True)) is not bool:
+        bad("record_trajectories", "true or false")
+    budget = section.get("jump_budget", 0)
+    if type(budget) is not int or budget < 0:
+        bad("jump_budget", "an integer >= 0")
+
+
+def _check_params(section: dict, mappings: dict, where: str) -> None:
+    """Each model parameter mapping present in ``section`` has exactly its model's keys."""
+    for key, keys in mappings.items():
+        if key in section:
+            _check_keys(section[key], keys, set(), f"{where}.{key}")
+
+
 def validate_config(cfg: dict) -> dict:
     """Reject unknown keys anywhere and enforce per-command required sections."""
     _check_keys(cfg, {"command"}, _TOP_KEYS - {"command"}, "config")
@@ -161,10 +207,9 @@ def validate_config(cfg: dict) -> dict:
             req, opt = _SECTION_KEYS[command]
             _check_keys(cfg[command], req, opt, command)
     if command == "simulate":
-        budget = cfg["simulate"].get("jump_budget", 0)
-        if type(budget) is not int or budget < 0:
-            raise ConfigError("simulate.jump_budget must be an integer >= 0",
-                              key="simulate.jump_budget")
+        _check_simulate(cfg["simulate"])
+    if command == "hormander":
+        _check_params(cfg.get("hormander", {}), {"model_params": _GENE_KEYS}, "hormander")
     if command == "evolve":
         _check_keys(cfg["evolve"]["grid"], {"n", "x_max"}, {"x_min"}, "evolve.grid")
         name = cfg["model"]["name"]
@@ -193,20 +238,21 @@ def validate_config(cfg: dict) -> dict:
         if mode not in _COMPARE_KEYS:
             raise ConfigError(f"unknown compare mode {mode!r}", key="compare.mode")
         _check_keys(section, {"mode"}, _COMPARE_KEYS[mode] - {"mode"}, f"compare[{mode}]")
+        _check_params(section, _PARAM_MAPPINGS.get(mode, {}), "compare")
         if mode == "dwell_ks":
             _check_regime(section, 2, "compare.regime", "gene_expression")
         delta = section.get("delta", 1.0)
-        if type(delta) not in (int, float) or not 0 < delta < math.inf:
+        if not (_finite(delta) and delta > 0):
             raise ConfigError("compare.delta must be a finite number > 0", key="compare.delta")
     if "seed" in cfg and not isinstance(cfg["seed"], int):
         raise ConfigError("seed must be a 64-bit integer", key="seed")
     return cfg
 
 
-def _num(model: dict, key: str) -> float:
+def _num(model: dict, key: str, where: str = "model") -> float:
     v = model[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"model.{key} must be a number", key=f"model.{key}")
+        raise ConfigError(f"{where}.{key} must be a number", key=f"{where}.{key}")
     return float(v)
 
 
@@ -258,17 +304,19 @@ def build_model(model: dict) -> PdmpModel:
     raise ConfigError(f"model {name!r} cannot be simulated directly", key="model.name")
 
 
-def gene_params(model: dict) -> GeneExpressionParams:
+def gene_params(model: dict, where: str = "model") -> GeneExpressionParams:
+    """The gene-expression parameters of a config mapping; ``where`` names it in errors."""
     return GeneExpressionParams(
-        P=_num(model, "P"), mu=_num(model, "mu"),
+        P=_num(model, "P", where), mu=_num(model, "mu", where),
         q0=rate_from_config(model["q0"], "q0"),
         q1=rate_from_config(model["q1"], "q1"))
 
 
-def birth_switch_params(model: dict) -> BirthSwitchParams:
+def birth_switch_params(model: dict, where: str = "model") -> BirthSwitchParams:
+    """The birth-switch parameters of a config mapping; ``where`` names it in errors."""
     return BirthSwitchParams(
-        b0=_num(model, "b0"), b1=_num(model, "b1"), c=_num(model, "c"),
-        mu=_num(model, "mu"), q0=rate_from_config(model["q0"], "q0"),
+        b0=_num(model, "b0", where), b1=_num(model, "b1", where), c=_num(model, "c", where),
+        mu=_num(model, "mu", where), q0=rate_from_config(model["q0"], "q0"),
         q1=rate_from_config(model["q1"], "q1"))
 
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .config import birth_switch_params, gene_params
 from .errors import ConfigError, InvalidParam
 from .flows import QTransform, cumulative_hazard, flow_evolve, sample_jump_time
 from .mcstats import (
@@ -24,7 +25,6 @@ from .mcstats import (
     two_sample_ks,
 )
 from .models import (
-    BirthSwitchParams,
     GeneExpressionParams,
     GrowthDivision,
     make_birth_switch,
@@ -46,12 +46,12 @@ from .transport import (
 )
 
 
-def _compiled_params(d: dict) -> dict:
-    """Compile string-valued rates from config files; numbers pass through."""
-    from .exprs import rate_from_config
-
-    return {k: rate_from_config(v, k) if isinstance(v, str) else v
-            for k, v in d.items()}
+def _params(cfg: dict, key: str, parse):
+    """The model parameters of the compare section's mapping ``key``, read by ``parse``."""
+    if key not in cfg:
+        raise ConfigError(f"compare mode {cfg.get('mode')!r} needs compare.{key}",
+                          key=f"compare.{key}")
+    return parse(cfg[key], f"compare.{key}")
 
 
 def _report(passes: dict, **fields) -> dict:
@@ -68,7 +68,7 @@ def dwell_time_ks(cfg: dict) -> dict:
     level) against F(t) = 1 - exp(-Lambda(t)) with Lambda computed by the
     hazard-integral quadrature from the same starting point.
     """
-    p = GeneExpressionParams(**_compiled_params(cfg["model_params"]))
+    p = _params(cfg, "model_params", gene_params)
     model = make_gene_expression(p)
     regime = model.regimes[int(cfg.get("regime", 0))]
     x0 = np.atleast_1d(np.asarray(cfg.get("x0", 1.0), dtype=float))
@@ -98,7 +98,7 @@ def gene_stationarity(cfg: dict) -> dict:
     a half-horizon burn-in); the switching solver is run to its steady state;
     both are compared in L1 against the analytic normalized pair.
     """
-    p = GeneExpressionParams(**_compiled_params(cfg["model_params"]))
+    p = _params(cfg, "model_params", gene_params)
     model = make_gene_expression(p)
     dens = _gene_analytic_fstar(p)
     a = p.x_max
@@ -141,11 +141,11 @@ def stability_alternative(cfg: dict) -> dict:
     Sweeping, concentrate its ensemble below eps, and show the predicted
     regime mix among the near-zero paths.
     """
+    ps, pw = (_params(cfg, key, birth_switch_params) for key in ("stable", "sweeping"))
     seed = int(cfg.get("seed", 512))
     out: dict = {}
     passes: dict = {}
 
-    ps = BirthSwitchParams(**_compiled_params(cfg["stable"]))
     dens = stationary_density(ps.fields())
     rep_s = classify_density(dens)
     out["stable_report"] = rep_s.to_dict()
@@ -163,7 +163,6 @@ def stability_alternative(cfg: dict) -> dict:
     out["stable_out_of_range"] = hist.out_of_range
     passes["stable_l1"] = l1 < thr_l1
 
-    pw = BirthSwitchParams(**_compiled_params(cfg["sweeping"]))
     rep_w = classify(pw.fields())
     out["sweeping_report"] = rep_w.to_dict()
     passes["sweeping_verdict"] = rep_w.verdict == "Sweeping"
@@ -383,16 +382,17 @@ def _random_poly_field(rng: np.random.Generator, d: int):
     return fn, jac
 
 
-def hormander_suite(cfg: dict) -> dict:
+def hormander_suite(cfg: dict, section: str = "compare") -> dict:
     """Span checks for the gene fields plus the degenerate and invariance cases.
 
     The gene pair differs by the constant production rate, so it spans the
     line everywhere; duplicated fields span nothing; and the computed rank is
     invariant under reordering the fields and rescaling them all by a common
-    positive constant (checked on randomized polynomial fields).
+    positive constant (checked on randomized polynomial fields).  ``section``
+    names the config section of ``cfg`` in errors.
     """
-    p = GeneExpressionParams(**_compiled_params(cfg.get("model_params",
-                                       {"P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0})))
+    p = gene_params(cfg.get("model_params", {"P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}),
+                    f"{section}.model_params")
     f = p.fields()
     off, on = f.flow(0), f.flow(1)
     points = [float(v) for v in cfg.get("points", (0.1, 0.5, 0.9))]

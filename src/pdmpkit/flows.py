@@ -33,36 +33,18 @@ TOL_EVENT = 1e-10   # time accuracy of event / hazard-crossing localisation
 HORIZON_CAP = 1e6   # default survival cap for jump-time sampling
 
 
-class FloatForm:
-    """Marks a callable written on plain floats; ``fn`` is what the engine calls."""
+class TupleFn:
+    """Marks a callable written on plain floats; ``fn`` is what the engine
+    calls, and the marker itself is not callable.  ``fn`` is an exact flow
+    ``fn(t, s) -> s'``, a vector field ``fn(s) -> s'``, a hazard rate or event
+    function ``fn(s) -> float``, a domain ``fn(s) -> bool`` or a jump kernel
+    ``fn(s, regime, rng) -> (s', regime'[, label])``: ``s`` a sequence of
+    floats, ``s'`` a tuple of them."""
 
     __slots__ = ("fn",)
 
     def __init__(self, fn: Callable):
         self.fn = fn
-
-
-class TupleFlow(FloatForm):
-    """An exact flow on plain floats: ``fn(t, s) -> s'``, ``s`` a tuple or a list
-    of ``dim`` floats and ``s'`` a tuple; called as ``(t, x0)`` with a 1-D float64
-    array it gives an array.  The streamed reader runs it (see ``Regime``)."""
-
-    def __call__(self, t: float, x: Array) -> Array:
-        return np.array(self.fn(t, x.tolist()))
-
-
-class TupleField(FloatForm):
-    """A vector field on plain floats: ``fn(s)`` maps ``dim`` floats to a tuple
-    of them.  Called with a 1-D float64 array it gives an array."""
-
-    def __call__(self, x: Array) -> Array:
-        return np.array(self.fn(x.tolist()))
-
-
-class TupleFn(FloatForm):
-    """A hazard rate or event function ``fn(s) -> float``, a domain ``fn(s) ->
-    bool`` or a jump kernel ``fn(s, regime, rng) -> (s', regime'[, label])`` on
-    plain floats: ``s`` a sequence of floats, ``s'`` a tuple of them."""
 
 
 def _floats(v) -> tuple:
@@ -73,11 +55,11 @@ def _floats(v) -> tuple:
     return tuple(a.tolist()) if a.ndim else (float(a),)
 
 
-def tuple_form(fn: Callable, marker: type, out: Callable, at: int = 0) -> Callable:
-    """``fn`` on plain floats: a ``marker``'s own ``fn``, or ``fn`` behind the
-    adapter of the array contract, which hands it argument ``at`` (the state)
-    as a float64 array and passes its result through ``out``."""
-    if isinstance(fn, marker):
+def tuple_form(fn: Callable, out: Callable, at: int = 0) -> Callable:
+    """``fn`` on plain floats: a :class:`TupleFn`'s own ``fn``, or ``fn`` behind
+    the adapter of the array contract, which hands it argument ``at`` (the
+    state) as a float64 array and passes its result through ``out``."""
+    if isinstance(fn, TupleFn):
         return fn.fn
     if at:
         return lambda t, s: out(fn(t, np.array(s, dtype=float)))
@@ -90,8 +72,8 @@ class Flow:
     optionally an exact solution ``closed_form(t, x0)``, used instead of
     numerical integration wherever available.  Each is a callable of the array
     contract (a 1-D float64 array in; an array, list or scalar out) or its
-    float form, a :class:`TupleField` or :class:`TupleFlow` that gives the same
-    numbers; ``tuple_rhs`` and ``tuple_closed`` hold the float forms.
+    float form, a :class:`TupleFn` that gives the same numbers; ``tuple_rhs``
+    and ``tuple_closed`` hold the float forms.
     ``jacobian(x)`` (d x d) is only needed for Lie-bracket computations."""
 
     dim: int
@@ -104,9 +86,9 @@ class Flow:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidParam("Flow.dim must be a positive integer")
-        object.__setattr__(self, "tuple_rhs", tuple_form(self.rhs, TupleField, _floats))
+        object.__setattr__(self, "tuple_rhs", tuple_form(self.rhs, _floats))
         object.__setattr__(self, "tuple_closed", self.closed_form and
-                           tuple_form(self.closed_form, TupleFlow, _floats, at=1))
+                           tuple_form(self.closed_form, _floats, at=1))
 
 
 @dataclass(frozen=True)
@@ -115,15 +97,11 @@ class Hazard:
     ``tuple_rate`` is its float form), with an optional dominating constant:
     ``const_rate`` marks a hazard that is constant in the state; samplers then
     reduce to plain exponential draws.  ``upper_bound`` enables thinning.
-    ``rate_along(ts, x0)``, when present, evaluates the rate along the flow at
-    an array of time offsets in one call; it must agree with composing the
-    flow's closed form with ``rate`` and exists purely to cut sampling cost.
     """
 
     rate: Callable[[Array], float]
     upper_bound: Optional[float] = None
     const_rate: Optional[float] = None
-    rate_along: Optional[Callable[[Array, Array], Array]] = None
     tuple_rate: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,7 +109,7 @@ class Hazard:
             raise InvalidParam("Hazard.upper_bound must be nonnegative")
         if self.const_rate is not None and not self.const_rate >= 0:
             raise InvalidParam("constant hazard rate must be nonnegative")
-        object.__setattr__(self, "tuple_rate", tuple_form(self.rate, TupleFn, float))
+        object.__setattr__(self, "tuple_rate", tuple_form(self.rate, float))
 
     @staticmethod
     def constant(value: float) -> "Hazard":
@@ -412,33 +390,18 @@ class _ChebPanel:
         return min(max(t, self.a), self.b)
 
 
-def _rate_nodes(flow: Flow, hz: Hazard, x0: tuple):
-    """Node evaluator for panels; uses the vectorized hook when available."""
-    along, closed, rate_at = hz.rate_along, flow.tuple_closed, hz.rate_at
-    if along is None:
-        return lambda ts: np.array([rate_at(closed(t, x0)) for t in ts.tolist()])
-    x0 = np.array(x0)
-
-    def eval_nodes(ts):
-        vals = np.asarray(along(ts, x0), dtype=float)
-        if np.any(vals < 0):
-            raise InvalidParam("hazard rate is negative along the flow")
-        return vals
-    return eval_nodes
-
-
 def _inverse_time_closed_form(flow: Flow, hz: Hazard, x0: tuple, xi: float,
                               horizon: float) -> float:
     """Invert the cumulative hazard using quadrature on the closed-form flow."""
-    eval_nodes = _rate_nodes(flow, hz, x0)
+    closed, rate_at = flow.tuple_closed, hz.rate_at
     acc = 0.0
     t_a = 0.0
     width = 1.0
     min_width = 1e-10
     while t_a < horizon:
         t_b = min(t_a + width, horizon)
-        mid, half = 0.5 * (t_b + t_a), 0.5 * (t_b - t_a)
-        panel = _ChebPanel(eval_nodes(mid + half * _CHEB_NODES), t_a, t_b)
+        nodes = (0.5 * (t_b + t_a) + 0.5 * (t_b - t_a) * _CHEB_NODES).tolist()
+        panel = _ChebPanel(np.array([rate_at(closed(t, x0)) for t in nodes]), t_a, t_b)
         if not panel.resolved and (t_b - t_a) > min_width:
             width *= 0.5
             continue
@@ -548,7 +511,7 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
     if t_max <= 0:
         return None
     x = _state(x0, flow.dim)
-    event = tuple_form(event_fn, TupleFn, float)
+    event = tuple_form(event_fn, float)
     closed = flow.tuple_closed
 
     if closed is not None:

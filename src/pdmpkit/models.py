@@ -21,7 +21,7 @@ from .errors import (
     PdmpError,
     PopulationBlowup,
 )
-from .flows import Flow, Hazard, TupleField, TupleFlow, TupleFn, hazard_chunks
+from .flows import Flow, Hazard, TupleFn, hazard_chunks
 from .lazy import brentq, quad
 from .lazy import solve_ivp  # unused; the benchmark tracer patches this binding
 from .process import (
@@ -51,8 +51,7 @@ def _scalar_fn(spec: RateLike) -> Callable[[float], float]:
     return lambda _x, _v=value: _v
 
 
-def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None,
-                  rate_along: Optional[Callable] = None) -> Hazard:
+def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None) -> Hazard:
     """Hazard acting on the first state component; constants keep their fast path."""
     if not callable(spec):
         return Hazard.constant(float(spec))
@@ -63,35 +62,11 @@ def _state_hazard(spec: RateLike, bound_grid: Optional[Array] = None,
         if np.any(vals < 0):
             raise InvalidParam("intensity function must be nonnegative on its domain")
         ub = float(vals.max()) * (1.0 + 1e-3)
-    return Hazard(rate=rate, upper_bound=ub, rate_along=rate_along)
+    return Hazard(rate=rate, upper_bound=ub)
 
 
 def _check_positive_on(fn: Callable[[float], float], xs: Array, constraint: str) -> None:
     _require(all(float(fn(x)) > 0 for x in xs), constraint)
-
-
-def _vector_rate_along(g_closed_form, phi_fn) -> Optional[Callable]:
-    """Vectorized hazard-along-flow hook, validated against the scalar route.
-
-    Returns None unless both are callables and ``phi(g_closed_form(ts, x0))``
-    broadcasts over an array of time offsets and matches per-point evaluation;
-    the sampler then gets a one-call path for its quadrature nodes.
-    """
-    if not (callable(g_closed_form) and callable(phi_fn)):
-        return None
-
-    def rate_along(ts, x0):
-        return np.asarray(phi_fn(g_closed_form(ts, float(x0[0]))), dtype=float)
-
-    try:
-        ts = np.array([0.05, 0.4, 1.3])
-        out = rate_along(ts, np.array([0.9]))
-        ref = np.array([float(phi_fn(float(g_closed_form(t, 0.9)))) for t in ts])
-        if out.shape != ts.shape or not np.allclose(out, ref, rtol=1e-12, atol=1e-14):
-            return None
-    except Exception:
-        return None
-    return rate_along
 
 
 @dataclass(frozen=True)
@@ -122,7 +97,7 @@ class SwitchingFields:
         """The 1-D flow of one regime, with its Jacobian when dg is known."""
         g, dg = (self.g0, self.dg0) if regime == 0 else (self.g1, self.dg1)
         jac = None if dg is None else (lambda x: np.array([[dg(float(x[0]))]]))
-        return Flow(dim=1, rhs=TupleField(lambda s: (g(s[0]),)), closed_form=closed_form,
+        return Flow(dim=1, rhs=TupleFn(lambda s: (g(s[0]),)), closed_form=closed_form,
                     jacobian=jac)
 
 
@@ -150,11 +125,11 @@ class GrowthDivision:
         """The growth flow of x, or of the two-phase state (x, y) with y' = y_speed."""
         g, gc = self.g, self.g_closed_form
         if y_speed is None:
-            closed = None if gc is None else TupleFlow(lambda t, s: (float(gc(t, s[0])),))
-            return Flow(dim=1, rhs=TupleField(lambda s: (g(s[0]),)), closed_form=closed)
-        closed = None if gc is None else TupleFlow(
+            closed = None if gc is None else TupleFn(lambda t, s: (float(gc(t, s[0])),))
+            return Flow(dim=1, rhs=TupleFn(lambda s: (g(s[0]),)), closed_form=closed)
+        closed = None if gc is None else TupleFn(
             lambda t, s: (float(gc(t, s[0])), s[1] + y_speed * t))
-        return Flow(dim=2, rhs=TupleField(lambda s: (g(s[0]), y_speed)), closed_form=closed)
+        return Flow(dim=2, rhs=TupleFn(lambda s: (g(s[0]), y_speed)), closed_form=closed)
 
 
 def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params: dict,
@@ -204,7 +179,7 @@ def make_grasshopper(lam: float, jump_sampler: Callable[[np.random.Generator], f
     _require(lam > 0, "lam > 0")
     flow = Flow(dim=dim,
                 rhs=lambda x: np.zeros_like(x),
-                closed_form=TupleFlow(lambda t, s: tuple(s)),
+                closed_form=TupleFn(lambda t, s: tuple(s)),
                 jacobian=lambda x: np.zeros((dim, dim)))
 
     def kernel(s, regime, rng):
@@ -230,7 +205,7 @@ def make_telegraph(lam: float, c: float) -> PdmpModel:
     telegraph_fields(lam, c)    # validates lam and c
     flow = Flow(dim=2,
                 rhs=lambda s: np.array([s[1], 0.0]),
-                closed_form=TupleFlow(lambda t, s: (s[0] + s[1] * t, s[1])),
+                closed_form=TupleFn(lambda t, s: (s[0] + s[1] * t, s[1])),
                 jacobian=lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]))
     flip = TupleMap(lambda s, regime: ((s[0], -s[1]), 0))
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(lam),
@@ -264,8 +239,8 @@ def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     _check_positive_on(g_fn, np.linspace(m, 2.0 * m, 33), "g > 0 on [m, 2m]")
     closed = None
     if g_closed_form is not None:
-        closed = TupleFlow(lambda t, s: (float(g_closed_form(t, s[0])),))
-    flow = Flow(dim=1, rhs=TupleField(lambda s: (g_fn(s[0]),)), closed_form=closed)
+        closed = TupleFn(lambda t, s: (float(g_closed_form(t, s[0])),))
+    flow = Flow(dim=1, rhs=TupleFn(lambda s: (g_fn(s[0]),)), closed_form=closed)
     born = (float(m),)
     clock = DeterministicClock(BoundaryHit(TupleFn(lambda s: 2.0 * m - s[0])),
                                JumpKernel(TupleMap(lambda s, regime: (born, 0))), "division")
@@ -280,7 +255,7 @@ def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
     time since phase-B entry."""
     _require(p.t_B is None or p.t_B > 0, "t_B > 0")
     _validate_growth_division(p.g, p.phi_fn)
-    hazard = _state_hazard(p.phi, rate_along=_vector_rate_along(p.g_closed_form, p.phi))
+    hazard = _state_hazard(p.phi)
     if p.t_B is None:
         # a TupleFn, not a TupleMap: the streamed reader runs only the switching
         # and telegraph models
@@ -344,8 +319,8 @@ class GeneExpressionParams:
 def make_gene_expression(p: GeneExpressionParams) -> PdmpModel:
     """Protein level x with an on/off gene: x' = -mu x (off), x' = P - mu x (on)."""
     mu, a = p.mu, p.x_max
-    closed = (TupleFlow(lambda t, s: (s[0] * math.exp(-mu * t),)),
-              TupleFlow(lambda t, s: (a + (s[0] - a) * math.exp(-mu * t),)))
+    closed = (TupleFn(lambda t, s: (s[0] * math.exp(-mu * t),)),
+              TupleFn(lambda t, s: (a + (s[0] - a) * math.exp(-mu * t),)))
     return _switching_model("gene_expression", p.fields(), (p.q0, p.q1),
                             ("activate", "deactivate"),
                             {"P": p.P, "mu": mu, "q0": p.q0, "q1": p.q1, "x_max": a},
@@ -392,10 +367,10 @@ def make_stein(p: SteinParams) -> PdmpModel:
     lam = p.lambda_E + p.lambda_I
     flow_sub = Flow(dim=2,
                     rhs=lambda s: np.array([-p.alpha * s[0], 0.0]),
-                    closed_form=TupleFlow(lambda t, s: (s[0] * math.exp(-p.alpha * t), s[1])))
+                    closed_form=TupleFn(lambda t, s: (s[0] * math.exp(-p.alpha * t), s[1])))
     flow_ref = Flow(dim=2,
                     rhs=lambda s: np.array([-p.alpha * s[0], 1.0]),
-                    closed_form=TupleFlow(lambda t, s: (s[0] * math.exp(-p.alpha * t),
+                    closed_form=TupleFn(lambda t, s: (s[0] * math.exp(-p.alpha * t),
                                                         s[1] + t)))
 
     def synapse(s, regime, rng):
@@ -534,7 +509,7 @@ def make_birth_switch(p: BirthSwitchParams) -> PdmpModel:
     """Population size on (0, inf) switching between a subcritical and a
     supercritical logistic law; the attracting interval is (0, a], a=(b1-mu)/c."""
     pi0, pi1 = (_logistic_closed_form(b - p.mu, p.c) for b in (p.b0, p.b1))
-    closed = (TupleFlow(lambda t, s: (pi0(t, s[0]),)), TupleFlow(lambda t, s: (pi1(t, s[0]),)))
+    closed = (TupleFn(lambda t, s: (pi0(t, s[0]),)), TupleFn(lambda t, s: (pi1(t, s[0]),)))
     return _switching_model("birth_switch", p.fields(), (p.q0, p.q1), ("switch", "switch"), {
         "b0": p.b0, "b1": p.b1, "c": p.c, "mu": p.mu, "q0": p.q0, "q1": p.q1,
         "a": p.attractor_end,

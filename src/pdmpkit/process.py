@@ -26,8 +26,8 @@ from .errors import (
     NonFinite,
     PdmpError,
 )
-from .flows import (FloatForm, Flow, Hazard, TupleFlow, TupleFn, _floats, _state,
-                    boundary_hit_time, evolve, flow_evolve, sample_jump_time, tuple_form)
+from .flows import (Flow, Hazard, TupleFn, _floats, _state, boundary_hit_time, evolve,
+                    flow_evolve, sample_jump_time, tuple_form)
 
 Array = np.ndarray
 
@@ -37,15 +37,10 @@ BLOCK = 64      # Exp(1) levels drawn per call by the plain-float path reader
 KernelFn = Callable[[Array, int, np.random.Generator], tuple]
 
 
-class TupleMap(FloatForm):
+class TupleMap(TupleFn):
     """A jump that draws nothing, on plain floats: ``fn(s, regime) -> (s',
     regime')``, ``s`` a tuple or a list of floats and ``s'`` a tuple; the
-    streamed reader runs it (see :class:`Regime`).  Called as ``(x, regime,
-    rng)`` with a 1-D float64 array it returns an array state."""
-
-    def __call__(self, x: Array, regime: int, rng: np.random.Generator):
-        state, reg = self.fn(x.tolist(), regime)
-        return np.array(state), reg
+    streamed reader runs it (see :class:`Regime`)."""
 
 
 @lru_cache(maxsize=1024)
@@ -72,7 +67,7 @@ class JumpKernel:
         k = self.sampler
         object.__setattr__(self, "tuple_sampler", (
             lambda s, regime, rng, _f=k.fn: _f(s, regime)) if isinstance(k, TupleMap) else
-            tuple_form(k, TupleFn, lambda out: (_floats(out[0]), *out[1:])))
+            tuple_form(k, lambda out: (_floats(out[0]), *out[1:])))
 
     def apply(self, s: tuple, regime: int, rng: np.random.Generator):
         out = self.tuple_sampler(s, regime, rng)
@@ -103,7 +98,7 @@ class BoundaryHit:
     tuple_event: TupleFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tuple_event", TupleFn(tuple_form(self.event_fn, TupleFn, float)))
+        object.__setattr__(self, "tuple_event", TupleFn(tuple_form(self.event_fn, float)))
 
 
 class _Labelled:
@@ -141,7 +136,7 @@ class Regime:
     sole_hazard: Optional[HazardChannel] = field(init=False, default=None, repr=False,
                                                  compare=False)
     # (tuple flow fn, rate, jump map fn) when that hazard has a constant rate,
-    # the regime no domain, the flow a TupleFlow and the kernel a TupleMap
+    # the regime no domain, the flow's closed form a TupleFn and the kernel a TupleMap
     float_step: Optional[tuple] = field(init=False, default=None, repr=False,
                                         compare=False)
 
@@ -151,13 +146,13 @@ class Regime:
         ))
         object.__setattr__(self, "clocks", tuple(self.clocks))
         if self.domain is not None:
-            object.__setattr__(self, "tuple_domain", tuple_form(self.domain, TupleFn, bool))
+            object.__setattr__(self, "tuple_domain", tuple_form(self.domain, bool))
         if len(self.hazards) == 1 and not self.clocks:
             ch = self.hazards[0]
             object.__setattr__(self, "sole_hazard", ch)
             closed, jump = self.flow.closed_form, ch.kernel.sampler
             if (ch.hazard.const_rate is not None and self.domain is None
-                    and isinstance(closed, TupleFlow) and isinstance(jump, TupleMap)):
+                    and isinstance(closed, TupleFn) and isinstance(jump, TupleMap)):
                 object.__setattr__(self, "float_step",
                                    (closed.fn, ch.hazard.const_rate, jump.fn))
         if not self.absorbing and not self.hazards and not self.clocks:
@@ -232,6 +227,14 @@ class Trajectory:
         return flow_evolve(flow, seg.state, t - seg.t_start), seg.regime
 
 
+def _regime(model: PdmpModel, regime) -> int:
+    """``regime`` as an index of the model's regimes."""
+    r, k = int(regime), len(model.regimes)
+    if not 0 <= r < k:
+        raise InvalidParam(f"regime {r} is not in [0, {k})")
+    return r
+
+
 def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
            t_max: float, elapsed_in_regime: float) -> Optional[EventResult]:
     """:func:`next_event` for ``t_max > 0``, with states as tuples of floats."""
@@ -288,6 +291,7 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
     entered, hence ``elapsed_in_regime``.  The states come back as 1-D float64
     arrays.
     """
+    regime = _regime(model, regime)
     if t_max <= 0:
         return None
     ev = _event(model, _state(state, model.dim), regime, rng, t_max, elapsed_in_regime)
@@ -300,11 +304,11 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
                 ) -> Iterator[Tuple[float, int, EventResult]]:
     """Stream (absolute time, pre-jump regime, event with tuple states) without
     storing the path; one event more than ``jump_budget`` before the horizon raises."""
-    if horizon <= 0:
+    if not horizon > 0:     # NaN fails too
         raise InvalidParam("horizon must be positive")
     if jump_budget < 0:
         raise InvalidParam("jump_budget must be >= 0")
-    t, x, reg, entered, n = 0.0, _state(x0, model.dim), int(regime0), 0.0, 0
+    t, x, reg, entered, n = 0.0, _state(x0, model.dim), _regime(model, regime0), 0.0, 0
     while t < horizon:
         ev = _event(model, x, reg, rng, horizon - t, t - entered)
         if ev is None:
@@ -327,12 +331,12 @@ def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
     yielding each read's state as a sequence of floats.  Events are drawn
     inline, one ahead of the reads, with the Exp(1) levels ``BLOCK`` at a time
     from one ``rng.exponential`` call; every check fires where the engine's does."""
-    if horizon <= 0:
+    if not horizon > 0:     # NaN fails too
         raise InvalidParam("horizon must be positive")
     if jump_budget < 0:
         raise InvalidParam("jump_budget must be >= 0")
     isfinite = math.isfinite
-    s, reg = list(_state(x0, dim)), int(reg)
+    s = list(_state(x0, dim))
     flow, lam, jump = steps[reg]
     reads = iter(times)
     t_read = next(reads, None)
@@ -391,12 +395,12 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
     When every regime has a ``float_step`` the path runs on plain floats with
     block-drawn levels: the same states and errors as the engine, in a
     different ``rng`` end state."""
-    steps = [r.float_step for r in model.regimes]
+    steps, regime0 = [r.float_step for r in model.regimes], _regime(model, regime0)
     if None not in steps:
         yield from ((np.array(s, dtype=float), reg) for s, reg in _float_reads(
             steps, model.dim, x0, regime0, rng, horizon, times, jump_budget))
         return
-    x, reg, t_seg = _state(x0, model.dim), int(regime0), 0.0
+    x, reg, t_seg = _state(x0, model.dim), regime0, 0.0
     events = iter_events(model, x, reg, rng, horizon, jump_budget)
     nxt = next(events, None)
     for t in times:
@@ -500,6 +504,8 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
     """
     if n_paths < 1:
         raise InvalidParam("n_paths must be >= 1")
+    if not horizon > 0:
+        raise InvalidParam("horizon must be positive")
     snaps = np.asarray(sorted(snapshot_times), dtype=float)
     if not ((snaps >= 0) & (snaps <= horizon)).all():     # NaN fails too
         raise InvalidParam("snapshot times must lie in [0, horizon]")
@@ -518,6 +524,7 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
         rng = path_rng(seed, i)
         x0, r0 = initial_sampler(rng)
         try:
+            r0 = _regime(model, r0)
             reads = (read_path(model, x0, r0, rng, horizon, times, jump_budget)
                      if None in steps else
                      _float_reads(steps, dim, x0, r0, rng, horizon, times, jump_budget))

@@ -295,7 +295,7 @@ def _as_fields(fields: Sequence, jacobians: Optional[Sequence] = None) -> List[_
     out = []
     for i, f in enumerate(fields):
         if isinstance(f, Flow):
-            out.append(_Field(f.rhs, f.jacobian))
+            out.append(_Field(lambda x, _f=f.tuple_rhs: _f(x.tolist()), f.jacobian))
         elif isinstance(f, _Field):
             out.append(f)
         else:

@@ -4,10 +4,13 @@ import ast
 import importlib.util
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmpkit.cli import main, run
 from pdmpkit.config import (
@@ -141,7 +144,7 @@ class TestExpressions:
             fn(-1.0, 2.0)
 
     def test_array_arguments_still_raise_type_error(self):
-        # models._vector_rate_along probes closed forms with arrays of times
+        # a compiled expression takes scalars only; arrays of times fail typed
         fn = compile_expr("x0 * exp(t)", variables=CLOSED_FORM)
         with pytest.raises(TypeError):
             fn(np.array([0.1, 0.2]), 1.0)
@@ -366,7 +369,7 @@ class TestBuildModel:
                "g_closed_form": "x0 * exp(t)"}
         model, view = build_model(cfg), model_view(cfg)
         assert model.params["t_B"] == view.t_B == 0.5
-        state = model.regimes[0].flow.closed_form(0.7, np.array([1.3, 0.0]))
+        state = model.regimes[0].flow.tuple_closed(0.7, (1.3, 0.0))
         assert state[0] == view.g_closed_form(0.7, 1.3) == 1.3 * math.exp(0.7)
 
     def test_population_spec(self):
@@ -555,3 +558,129 @@ class TestCli:
         status = run("classify", cfg, tmp_path)
         assert status["status"] == "ok"
         assert Path(status["artifacts"][0]).exists()
+
+
+def _main(tmp_path, cfg: dict) -> int:
+    """Exit code of ``main`` on ``cfg`` written as a YAML file in ``tmp_path``."""
+    path = Path(tmp_path) / "cfg.yaml"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    dump_config(cfg, path)
+    return main(["--config", str(path), "--out", str(Path(tmp_path) / "out")])
+
+
+class TestSimulateInputs:
+    """Bad values in the simulate section fail typed, alike in both modes."""
+
+    @staticmethod
+    def config(record, **simulate):
+        return {"command": "simulate", "seed": 3,
+                "model": {"name": "gene_expression", "P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0},
+                "simulate": {"x0": [0.5], "regime0": 0, "horizon": 5.0, "n_paths": 2,
+                             "snapshot_times": [1.0], "record_trajectories": record,
+                             **simulate}}
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("key, value", [
+        ("horizon", math.nan), ("horizon", math.inf), ("horizon", 0.0), ("horizon", "5"),
+        ("horizon", None), ("x0", "0.5"), ("x0", ["a"]), ("x0", []), ("x0", [math.nan]),
+        ("x0", [True]), ("regime0", "0"), ("regime0", 0.5), ("regime0", True),
+        ("n_paths", "2"), ("n_paths", 0), ("n_paths", 1.5), ("snapshot_times", ["1"]),
+        ("snapshot_times", 1.0), ("snapshot_times", [math.nan]),
+        ("record_trajectories", "no"),
+    ])
+    def test_bad_value_is_a_config_error(self, record, key, value, tmp_path, capsys):
+        # a NaN horizon used to run clean in recorded mode and write NaN into
+        # summary.json; non-numbers raised a bare ValueError out of main
+        assert _main(tmp_path, self.config(record, **{key: value})) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["kind"], err["key"]) == ("ConfigError", f"simulate.{key}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("regime0", [-1, 2, 5])
+    def test_regime_outside_the_model_is_a_model_error(self, record, regime0, tmp_path, capsys):
+        # -1 used to run the last regime and write -1 into the outputs; 5 raised IndexError
+        assert _main(tmp_path, self.config(record, regime0=regime0)) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["kind"] == "ModelError" and "regime" in err["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+
+class TestModelParams:
+    """compare and hormander read model parameters with the config parsers."""
+
+    GENE = {"P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}
+    BIRTH_SWITCH = {"b0": 0.5, "b1": 2.0, "c": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}
+
+    def cases(self):
+        """(config, where) for each model parameter mapping a config can hold."""
+        yield {"command": "compare", "compare": {"mode": "dwell_ks", "n": 20,
+                                                 "model_params": dict(self.GENE)}}, \
+            ("compare", "model_params")
+        yield {"command": "compare", "compare": {"mode": "gene_stationarity",
+                                                 "model_params": dict(self.GENE)}}, \
+            ("compare", "model_params")
+        yield {"command": "compare", "compare": {"mode": "hormander_suite",
+                                                 "model_params": dict(self.GENE)}}, \
+            ("compare", "model_params")
+        for key in ("stable", "sweeping"):
+            yield {"command": "compare", "compare": {
+                "mode": "stability_alternative", "stable": dict(self.BIRTH_SWITCH),
+                "sweeping": dict(self.BIRTH_SWITCH)}}, ("compare", key)
+        yield {"command": "hormander", "hormander": {"model_params": dict(self.GENE)}}, \
+            ("hormander", "model_params")
+
+    @pytest.mark.parametrize("fault", ["misspelt", "missing", "not_a_number"])
+    def test_bad_entry_is_a_config_error(self, fault, tmp_path, capsys):
+        # each used to raise a bare TypeError out of main
+        for k, (cfg, (section, key)) in enumerate(self.cases()):
+            params = cfg[section][key]
+            first = sorted(params)[0]
+            if fault == "misspelt":
+                params["bogus"] = params.pop(first)
+                expect = "bogus"
+            elif fault == "missing":
+                del params[first]
+                expect = first
+            else:
+                params[first] = "1.0"
+                expect = first
+            if fault != "not_a_number":
+                with pytest.raises(ConfigError) as err:
+                    validate_config(cfg)
+                assert err.value.key == f"{section}.{key}.{expect}"
+            assert _main(tmp_path / str(k), cfg) == 2
+            out = json.loads(capsys.readouterr().out)
+            assert (out["kind"], out["key"]) == ("ConfigError", f"{section}.{key}.{expect}")
+
+    def test_missing_mapping_is_a_config_error(self, tmp_path, capsys):
+        cfg = {"command": "compare", "compare": {"mode": "dwell_ks", "n": 20}}
+        assert _main(tmp_path, cfg) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["key"]) == ("ConfigError", "compare.model_params")
+
+
+# leaves that a simulate section must not hold; _MISSING deletes the key
+_MISSING = object()
+_BAD_LEAVES = st.sampled_from(["0.5", "abc", math.nan, math.inf, -math.inf, -1, True, False,
+                               None, [], [1.0, "x"], [[0.5]], {"a": 1}, _MISSING])
+_SIMULATE_KEYS = ("x0", "regime0", "horizon", "n_paths", "snapshot_times",
+                  "record_trajectories", "jump_budget")
+
+
+@settings(max_examples=40, deadline=None)
+@given(record=st.booleans(), key=st.sampled_from(_SIMULATE_KEYS + ("extra",)),
+       value=_BAD_LEAVES)
+def test_fuzzed_simulate_leaf_exits_with_a_documented_code(record, key, value):
+    cfg = load_config(TESTS.parent / "configs" / "accept09_reproducibility.yaml")
+    cfg["simulate"]["record_trajectories"] = record
+    if value is _MISSING:
+        cfg["simulate"].pop(key, None)
+    else:
+        cfg["simulate"][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _main(tmp, cfg)
+        assert code in (0, 1, 2, 3, 4)
+        if code == 0:
+            summary = json.loads((Path(tmp) / "out" / "summary.json").read_text())
+            assert math.isfinite(summary["horizon"])

@@ -16,7 +16,7 @@ from pdmpkit import (
     Flow,
     GrowthDivision,
     Hazard,
-    TupleField,
+    TupleFn,
     flow_evolve,
     make_allee,
     make_cell_cycle,
@@ -29,7 +29,7 @@ from pdmpkit.flows import ATOL_FLOW, TOL_FLOW, _dopri, boundary_hit_time
 
 
 def growth_flow(r, tuple_form=True):
-    rhs = TupleField(lambda s: (r * s[0],)) if tuple_form else (lambda x: r * x)
+    rhs = TupleFn(lambda s: (r * s[0],)) if tuple_form else (lambda x: r * x)
     return Flow(dim=1, rhs=rhs)
 
 
@@ -50,7 +50,7 @@ class TestStepper:
         for flow in allee_flows():
             for x0 in (0.5, 4.0, 9.5):
                 for t in (0.3, 2.0, 6.0):
-                    ref = solve_ivp(lambda s, y: flow.rhs(y), (0.0, t), [x0], method="DOP853",
+                    ref = solve_ivp(lambda s, y: flow.tuple_rhs(y), (0.0, t), [x0], method="DOP853",
                                     rtol=1e-13, atol=1e-15).y[0, -1]
                     assert flow_evolve(flow, [x0], t)[0] == pytest.approx(ref, rel=1e-9)
 
@@ -58,7 +58,7 @@ class TestStepper:
         # same initial step and controller: the same accepted step times
         for flow in [growth_flow(0.9), *allee_flows()]:
             steps = [step.t1 for step in _dopri(flow.rhs.fn, [4.0], 5.0, "test")]
-            ref = solve_ivp(lambda s, y: flow.rhs(y), (0.0, 5.0), [4.0], method="RK45",
+            ref = solve_ivp(lambda s, y: flow.tuple_rhs(y), (0.0, 5.0), [4.0], method="RK45",
                             rtol=TOL_FLOW, atol=ATOL_FLOW)
             assert len(steps) == ref.t.size - 1
             assert np.allclose(steps, ref.t[1:], rtol=1e-6, atol=0.0)
@@ -71,16 +71,11 @@ class TestStepper:
             assert step.at(mid)[0] == pytest.approx(math.exp(0.9 * mid), rel=1e-9)
 
     def test_array_rhs_takes_the_same_steps(self):
-        # any rhs but a TupleField goes through the array adapter, same solver
+        # any rhs but a TupleFn goes through the array adapter, same solver
         for t in (0.4, 2.5):
             a = flow_evolve(growth_flow(0.9), [1.5], t)
             b = flow_evolve(growth_flow(0.9, tuple_form=False), [1.5], t)
             assert a.tolist() == b.tolist()
-
-    def test_tuple_field_keeps_the_array_contract(self):
-        rhs = growth_flow(2.0).rhs
-        out = rhs(np.array([1.5]))
-        assert isinstance(out, np.ndarray) and out.tolist() == [3.0]
 
 
 class TestOdeRoutes:
@@ -107,7 +102,7 @@ class TestOdeRoutes:
 class TestTypedFailures:
     def test_non_finite_field_raises_nonfinite(self):
         for bad in (math.inf, math.nan):
-            flow = Flow(dim=1, rhs=TupleField(lambda s, _b=bad: (_b,)))
+            flow = Flow(dim=1, rhs=TupleFn(lambda s, _b=bad: (_b,)))
             with pytest.raises(NonFinite):
                 flow_evolve(flow, [1.0], 1.0)
             with pytest.raises(NonFinite):
@@ -116,7 +111,7 @@ class TestTypedFailures:
 
     def test_field_leaving_the_doubles_raises_nonfinite(self):
         # x' = x^2 from 1 blows up at t = 1
-        flow = Flow(dim=1, rhs=TupleField(lambda s: (s[0] * s[0],)))
+        flow = Flow(dim=1, rhs=TupleFn(lambda s: (s[0] * s[0],)))
         with pytest.raises(NonFinite):
             flow_evolve(flow, [1.0], 2.0)
 

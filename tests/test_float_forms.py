@@ -2,7 +2,7 @@
 
 A hand-built model is written twice: once with callables of the array
 contract (a float64 array in), which the engine runs behind its one adapter,
-and once with their float forms (:class:`TupleFlow`, :class:`TupleFn`).  The
+and once with their float forms (:class:`TupleFn`).  The
 recorded paths must agree byte for byte.  The boundary scan's grid must equal
 ``np.linspace`` bit for bit.
 """
@@ -24,7 +24,6 @@ from pdmpkit import (
     JumpKernel,
     PdmpModel,
     Regime,
-    TupleFlow,
     TupleFn,
     path_rng,
     simulate_trajectory,
@@ -48,8 +47,7 @@ def damped_model(float_forms: bool) -> PdmpModel:
             v = s[1] + rng.normal()
             return (s[0], v), 0, "kick_up" if v > s[1] else "kick_down"
 
-        closed, rate, kick, event, domain = TupleFlow(closed), *map(TupleFn, (
-            rate, kick, event, domain))
+        closed, rate, kick, event, domain = map(TupleFn, (closed, rate, kick, event, domain))
         reset = TupleFn(lambda s, regime, rng: ((0.0, s[1]), 1))
         slow = TupleFn(lambda s, regime, rng: ((s[0], 0.5 * s[1]), 0))
     else:

@@ -1,7 +1,7 @@
 """The plain-float path reader against the engine, byte for byte.
 
 ``read_path`` runs a model whose every regime has one constant-rate hazard, no
-clock, no domain, a :class:`TupleFlow` and a :class:`TupleMap` on tuples of
+clock, no domain, a :class:`TupleFn` closed form and a :class:`TupleMap` on tuples of
 floats with block-drawn levels.  Each test reads the same path through the
 engine as well: the engine twin is the same model with its flows and jumps
 behind plain closures, which do not opt in.  States, regimes and the classes
@@ -25,7 +25,7 @@ from pdmpkit import (
     PdmpModel,
     Regime,
     SteinParams,
-    TupleFlow,
+    TupleFn,
     TupleMap,
     make_birth_switch,
     make_cell_cycle,
@@ -56,11 +56,17 @@ CASES = {
 def engine_twin(model: PdmpModel) -> PdmpModel:
     """The same model with its tuple flows and maps behind plain closures."""
     def plain(regime):
-        closed = regime.flow.closed_form
-        flow = dataclasses.replace(regime.flow, closed_form=lambda t, x: closed(t, x))
+        closed = regime.flow.closed_form.fn
+        flow = dataclasses.replace(regime.flow,
+                                   closed_form=lambda t, x: np.array(closed(t, x.tolist())))
+
+        def jump(x, reg, rng, _k):
+            state, reg = _k(x.tolist(), reg)
+            return np.array(state), reg
+
         hazards = tuple(
             dataclasses.replace(ch, kernel=JumpKernel(
-                lambda x, reg, rng, _k=ch.kernel.sampler: _k(x, reg, rng)))
+                lambda x, reg, rng, _k=ch.kernel.sampler.fn: jump(x, reg, rng, _k)))
             for ch in regime.hazards)
         return dataclasses.replace(regime, flow=flow, hazards=hazards)
 
@@ -134,7 +140,7 @@ def test_partly_failing_ensemble_matches_the_engine():
         return ((math.nan if k == 1.0 and x > 2.0 else x + 1.0), k), reg
 
     flow = Flow(dim=2, rhs=lambda x: np.array([1.0, 0.0]),
-                closed_form=TupleFlow(lambda t, s: (s[0] + t, s[1])))
+                closed_form=TupleFn(lambda t, s: (s[0] + t, s[1])))
     model = PdmpModel("partial", tuple(
         Regime(r, flow, hazards=(HazardChannel(Hazard.constant(rate),
                                                JumpKernel(TupleMap(jump))),))
@@ -197,7 +203,7 @@ def test_jump_budget_exceeded_at_the_same_event(name):
 
 
 def _hand_model(flow_fn, jump_fn, dim=1):
-    flow = Flow(dim=dim, rhs=lambda x: np.ones(dim), closed_form=TupleFlow(flow_fn))
+    flow = Flow(dim=dim, rhs=lambda x: np.ones(dim), closed_form=TupleFn(flow_fn))
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(2.0),
                                                     JumpKernel(TupleMap(jump_fn)), "hop"),))
     model = PdmpModel("hand", (regime,))
@@ -230,7 +236,7 @@ def test_state_shape_checked_on_both_sides():
 
 
 def test_rate_zero_reads_the_flow_to_the_horizon():
-    flow = Flow(dim=1, rhs=lambda x: -x, closed_form=TupleFlow(
+    flow = Flow(dim=1, rhs=lambda x: -x, closed_form=TupleFn(
         lambda t, s: (s[0] * math.exp(-t),)))
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(0.0), JumpKernel(
         TupleMap(lambda s, reg: (s, 0)))),))

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from pdmpkit import (
     CumulativeHazard,
     Flow,
+    GrowthDivision,
     Hazard,
     QTransform,
     boundary_hit_time,
@@ -18,6 +19,7 @@ from pdmpkit import (
     dkw_epsilon,
     flow_evolve,
     ks_statistic,
+    make_cell_cycle,
     path_rng,
     sample_jump_time,
     two_sample_ks,
@@ -152,12 +154,10 @@ class TestSampleJumpTime:
 
     def test_thinning_vs_inverse_agreement(self):
         # gene active-state hazard: both samplers apply, laws must agree
-        a = GENE_P / GENE_MU
         flow = gene_active_flow()
         rate = lambda x: 1.0 + float(x[0])
-        rate_along = lambda ts, x0: 1.0 + a + (x0[0] - a) * np.exp(-GENE_MU * ts)
         hz_thin = Hazard(rate=rate, upper_bound=2.0)
-        hz_inv = Hazard(rate=rate, rate_along=rate_along)
+        hz_inv = Hazard(rate=rate)
         n = 100_000
         rng = path_rng(103, 0)
         thin = np.array([sample_jump_time(flow, hz_thin, [0.2], rng) for _ in range(n)])
@@ -186,6 +186,20 @@ class TestSampleJumpTime:
         for tau in draws:
             xi = rng_replay.exponential()
             assert abs(tau - math.log1p(xi)) < 1e-9
+
+    @pytest.mark.parametrize("x0", [0.2, 1.0, 3.2])
+    def test_catalog_chebyshev_route_exact_times(self, x0):
+        # the catalog cell cycle with g = phi = x and its closed form: the
+        # Chebyshev panels on the plain-float flow, tau = log1p(xi / x0)
+        model = make_cell_cycle(GrowthDivision(g=lambda x: x, phi=lambda x: x,
+                                               g_closed_form=lambda t, x: x * np.exp(t)))
+        reg = model.regimes[0]
+        hz = reg.hazards[0].hazard
+        assert reg.flow.tuple_closed is not None and hz.upper_bound is None
+        rng, replay = path_rng(107, 0), path_rng(107, 0)
+        for _ in range(300):
+            tau = sample_jump_time(reg.flow, hz, [x0], rng)
+            assert abs(tau - math.log1p(replay.exponential() / x0)) < 1e-9
 
     def test_zero_rate_trap_raises_horizon(self):
         flow = gene_inactive_flow()

@@ -132,17 +132,15 @@ class TestCellCycleRoutes:
         assert hz.const_rate == 1.5
 
     @pytest.mark.parametrize("t_B", [None, 0.5])
-    def test_phi_function_with_closed_form_gets_rate_along(self, t_B):
+    def test_phi_function_with_closed_form_takes_the_chebyshev_route(self, t_B):
         flow, hz = self.build(lambda x: 0.9 * x, True, t_B)
         assert hz.const_rate is None and hz.upper_bound is None
         assert flow.closed_form is not None
-        ts = np.array([0.1, 0.6])
-        assert np.allclose(hz.rate_along(ts, np.array([1.2])), 0.9 * 1.2 * np.exp(ts))
 
     @pytest.mark.parametrize("t_B", [None, 0.5])
     def test_without_closed_form_takes_the_ode_route(self, t_B):
         flow, hz = self.build(lambda x: 0.9 * x, False, t_B)
-        assert hz.const_rate is None and hz.upper_bound is None and hz.rate_along is None
+        assert hz.const_rate is None and hz.upper_bound is None
         assert flow.closed_form is None
 
 
@@ -390,9 +388,9 @@ class TestAllee:
         x1, x2 = model.params["x1"], model.params["x2"]
         K = 10.0
         # sign structure at the interval ends keeps [x2, K] invariant
-        g0 = model.regimes[0].flow.rhs
-        g1 = model.regimes[1].flow.rhs
-        assert g0(np.array([x2]))[0] > 0 and g1(np.array([K]))[0] < 0
+        g0 = model.regimes[0].flow
+        g1 = model.regimes[1].flow
+        assert g0.tuple_rhs((x2,))[0] > 0 and g1.tuple_rhs((K,))[0] < 0
         traj = pk.simulate_trajectory(model, [0.5 * (x2 + K)], 0, 200.0,
                                       pk.path_rng(51, 0))
         for j in traj.jumps:
@@ -405,14 +403,14 @@ class TestBirthSwitch:
 
     def test_sign_structure(self):
         model = pk.make_birth_switch(self.params())
-        g0 = model.regimes[0].flow.rhs
-        g1 = model.regimes[1].flow.rhs
+        g0 = model.regimes[0].flow
+        g1 = model.regimes[1].flow
         a = model.params["a"]
         for x in np.linspace(0.01, 3.0, 50):
-            assert g0(np.array([x]))[0] < 0.0
-        assert abs(g1(np.array([a]))[0]) < 1e-12
+            assert g0.tuple_rhs((x,))[0] < 0.0
+        assert abs(g1.tuple_rhs((a,))[0]) < 1e-12
         for x in np.linspace(0.01, a - 0.01, 25):
-            assert g1(np.array([x]))[0] > 0.0
+            assert g1.tuple_rhs((x,))[0] > 0.0
 
     def test_attractor_interval_stays(self):
         model = pk.make_birth_switch(self.params())

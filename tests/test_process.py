@@ -38,7 +38,7 @@ from pdmpkit import (
 )
 from pdmpkit import GeneExpressionParams, GrowthDivision
 from pdmpkit.errors import InvalidParam, JumpBudgetExceeded, NonFinite
-from pdmpkit.process import snapshots_to_csv, trajectories_to_csv
+from pdmpkit.process import read_path, snapshots_to_csv, trajectories_to_csv
 
 TOL_FLOW = 1e-10
 
@@ -432,6 +432,36 @@ class TestValidation:
         with pytest.raises(InvalidParam, match="snapshot times"):
             simulate_ensemble(make_telegraph(1.0, 1.0), lambda rng: (np.array([0.0, 1.0]), 0),
                               5.0, 3, 1, snapshot_times=snaps)
+
+    @pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0])
+    def test_horizon_that_is_not_positive_rejected(self, horizon):
+        # a NaN horizon used to give an ensemble a clean run with NaN in its record
+        model = make_telegraph(1.0, 1.0)
+        with pytest.raises(InvalidParam, match="horizon"):
+            next(iter_events(model, [0.0, 1.0], 0, path_rng(1, 0), horizon))
+        with pytest.raises(InvalidParam, match="horizon"):
+            next(read_path(model, [0.0, 1.0], 0, path_rng(1, 0), horizon, [0.0]))
+        with pytest.raises(InvalidParam, match="horizon"):
+            simulate_ensemble(model, lambda rng: ([0.0, 1.0], 0), horizon, 2, 1)
+
+    @pytest.mark.parametrize("regime", [-1, 2, 5])
+    @pytest.mark.parametrize("float_step", [True, False])
+    def test_regime_outside_the_model_rejected(self, regime, float_step):
+        # -1 used to run the last regime and 5 raised a bare IndexError
+        model = make_gene_expression(GeneExpressionParams(
+            P=1.0, mu=1.0, q0=1.0 if float_step else lambda x: 1.0, q1=1.0))
+        assert (None not in [r.float_step for r in model.regimes]) == float_step
+        with pytest.raises(InvalidParam, match="regime"):
+            next_event(model, [0.5], regime, path_rng(1, 0), t_max=1.0)
+        with pytest.raises(InvalidParam, match="regime"):
+            next(iter_events(model, [0.5], regime, path_rng(1, 0), 1.0))
+        with pytest.raises(InvalidParam, match="regime"):
+            next(read_path(model, [0.5], regime, path_rng(1, 0), 1.0, [0.5]))
+        ens = simulate_ensemble(model, lambda rng: ([0.5], regime), 1.0, 2, 1,
+                                snapshot_times=[0.5])
+        assert [i for i, _ in ens.errors] == [0, 1]
+        assert all(isinstance(e, InvalidParam) for _, e in ens.errors)
+        assert (ens.snapshot_regimes == -1).all() and (ens.final_regimes == -1).all()
 
     @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb", None])
     def test_label_that_csv_would_quote_rejected(self, label):
