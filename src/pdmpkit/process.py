@@ -395,7 +395,8 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
     When every regime has a ``float_step`` the path runs on plain floats with
     block-drawn levels: the same states and errors as the engine, in a
     different ``rng`` end state."""
-    steps, regime0 = [r.float_step for r in model.regimes], _regime(model, regime0)
+    regime0 = _regime(model, regime0)
+    steps = [r.float_step for r in model.regimes]
     if None not in steps:
         yield from ((np.array(s, dtype=float), reg) for s, reg in _float_reads(
             steps, model.dim, x0, regime0, rng, horizon, times, jump_budget))
