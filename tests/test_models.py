@@ -132,10 +132,15 @@ class TestCellCycleRoutes:
         assert hz.const_rate == 1.5
 
     @pytest.mark.parametrize("t_B", [None, 0.5])
-    def test_phi_function_with_closed_form_takes_the_chebyshev_route(self, t_B):
+    def test_phi_function_with_closed_form_gets_rate_along(self, t_B):
         flow, hz = self.build(lambda x: 0.9 * x, True, t_B)
         assert hz.const_rate is None and hz.upper_bound is None
         assert flow.closed_form is not None
+        # the rate along the flow, as the Chebyshev panels evaluate it at their nodes
+        x0 = (1.2,) + (0.0,) * (flow.dim - 1)
+        for t in (0.1, 0.6):
+            assert hz.tuple_rate(flow.tuple_closed(t, x0)) == pytest.approx(
+                0.9 * 1.2 * math.exp(t))
 
     @pytest.mark.parametrize("t_B", [None, 0.5])
     def test_without_closed_form_takes_the_ode_route(self, t_B):
