@@ -53,19 +53,15 @@ def _write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def cmd_simulate(cfg: dict, out: Path, seed: int) -> list:
-    model = build_model(cfg["model"])
+def cmd_simulate(cfg: dict, out: Path) -> list:
+    model, seed = build_model(cfg["model"]), cfg["seed"]
     section = cfg["simulate"]
     x0 = np.atleast_1d(np.asarray(section["x0"], dtype=float))
-    regime0 = int(section["regime0"])
-    horizon = float(section["horizon"])
-    n_paths = int(section.get("n_paths", 1))
-    snaps = [float(t) for t in section.get("snapshot_times", [])]
-    record = bool(section.get("record_trajectories", True))
-    budget = int(section.get("jump_budget", 10_000_000))
+    regime0, horizon, n_paths = section["regime0"], section["horizon"], section["n_paths"]
+    snaps, budget = section["snapshot_times"], section["jump_budget"]
     artifacts = []
 
-    if record:
+    if section["record_trajectories"]:
         trajectories = [
             simulate_trajectory(model, x0, regime0, horizon, path_rng(seed, i),
                                 jump_budget=budget)
@@ -102,8 +98,7 @@ def cmd_stationary(cfg: dict, out: Path) -> list:
     report = classify_density(dens)
     artifacts = []
     if dens.is_integrable:
-        n = int(cfg.get("stationary", {}).get("grid_n", 256))
-        grid = Grid1D(0.0, dens.fields.a, n)
+        grid = Grid1D(0.0, dens.fields.a, cfg["stationary"]["grid_n"])
         path = out / "fstar.csv"
         write_csv(path, ["cell_center", "regime", "density"], "%.17g,%s,%.17g",
                   ((x, r, f(x)) for r, f in enumerate((dens.f0, dens.f1))
@@ -122,54 +117,44 @@ def cmd_classify(cfg: dict, out: Path) -> list:
     return [str(path)]
 
 
-def _initial_density(grid: Grid1D, n_regimes: int, f0_cfg: dict):
-    kind = (f0_cfg or {"kind": "uniform"}).get("kind", "uniform")
-    span = grid.x_max - grid.x_min
-    if kind == "uniform":
-        return [lambda x, _c=1.0 / (n_regimes * span): _c for _ in range(n_regimes)]
-    if kind == "gaussian":
-        center = float(f0_cfg.get("center", 0.5 * (grid.x_min + grid.x_max)))
-        width = float(f0_cfg.get("width", 0.1 * span))
-        regime = int(f0_cfg.get("regime", 0))
-        bump = np.exp(-((grid.centers - center) / width) ** 2)
-        bump /= bump.sum() * grid.h
-        zero = np.zeros(grid.n)
-        return [bump if r == regime else zero.copy() for r in range(n_regimes)]
-    raise ConfigError(f"unknown f0 kind {kind!r}", key="evolve.f0.kind")
+def _initial_density(grid: Grid1D, n_regimes: int, f0: dict):
+    if f0["kind"] == "uniform":
+        c = 1.0 / (n_regimes * (grid.x_max - grid.x_min))
+        return [lambda x: c for _ in range(n_regimes)]
+    bump = np.exp(-((grid.centers - f0["center"]) / f0["width"]) ** 2)
+    bump /= bump.sum() * grid.h
+    zero = np.zeros(grid.n)
+    return [bump if r == f0["regime"] else zero.copy() for r in range(n_regimes)]
 
 
 def cmd_evolve(cfg: dict, out: Path) -> list:
     section = cfg["evolve"]
-    gcfg = section["grid"]
-    dt = float(section["dt"])
-    t_end = float(section["t_end"])
-    f0 = section.get("f0")
+    gcfg, dt, f0 = section["grid"], section["dt"], section["f0"]
     view = model_view(cfg["model"])
 
     # one solver per kind of view: switching transport, division, two phases
     if isinstance(view, SwitchingFields):
-        grid = Grid1D(float(gcfg.get("x_min", 0.0)), float(gcfg["x_max"]), int(gcfg["n"]))
+        grid = Grid1D(gcfg["x_min"], gcfg["x_max"], gcfg["n"])
         solver = SwitchingSolver(grid, view.g0, view.g1, view.q0, view.q1, dt)
         density = density_from(grid, _initial_density(grid, 2, f0))
     else:
-        grid = Grid1D(0.0, float(gcfg["x_max"]), int(gcfg["n"]), dyadic_aligned=True)
+        grid = Grid1D(0.0, gcfg["x_max"], gcfg["n"], dyadic_aligned=True)
         (f_a0,) = _initial_density(grid, 1, f0)
         if view.t_B is None:
             solver = CellCycleSolver(grid, view.g, view.phi_fn, dt)
             density = density_from(grid, [f_a0])
         else:
-            n_y = int(section.get("n_y", 32))
+            n_y = section["n_y"]
             solver = TwoPhaseSolver(grid, n_y, view.t_B, view.g, view.phi_fn, dt)
             density = two_phase_density(grid, n_y, view.t_B, f_a0)
 
     converged = None
-    if "steady" in section:
-        st = section["steady"]
-        density, converged = steady_state(solver, density,
-                                          tol=float(st.get("tol", 1e-8)),
-                                          t_max=float(st.get("t_max", t_end)))
+    steady = section["steady"]
+    if steady is not None:
+        density, converged = steady_state(solver, density, tol=steady["tol"],
+                                          t_max=steady["t_max"])
     else:
-        solver.advance(density, t_end)
+        solver.advance(density, section["t_end"])
 
     path = out / "density.csv"
     density_to_csv(density, path)
@@ -195,20 +180,18 @@ def cmd_compare(cfg: dict, out: Path) -> list:
 
 
 def cmd_hormander(cfg: dict, out: Path) -> list:
-    report = experiments.hormander_suite(cfg.get("hormander", {}), "hormander")
+    report = experiments.hormander_suite(cfg["hormander"])
     path = out / "report.json"
     _write_json(report, path)
     return [str(path)]
 
 
-def cmd_population(cfg: dict, out: Path, seed: int) -> list:
-    spec = population_spec(cfg["model"])
-    section = cfg["population"]
-    snaps = [float(t) for t in section.get("snapshot_times", [])]
+def cmd_population(cfg: dict, out: Path) -> list:
+    spec, section, seed = population_spec(cfg["model"]), cfg["population"], cfg["seed"]
     result = simulate_population(
-        spec["g"], spec["b"], spec["d"], spec["initial"],
-        float(section["horizon"]), path_rng(seed, 0),
-        snapshot_times=snaps, max_cells=spec["max_cells"])
+        spec["g"], spec["b"], spec["d"], spec["initial"], section["horizon"],
+        path_rng(seed, 0), snapshot_times=section["snapshot_times"],
+        max_cells=spec["max_cells"])
     events_path = out / "events.csv"
     write_csv(events_path, ["t", "kind", "parent_size", "n_after"], "%.17g,%s,%.17g,%s",
               ((ev.t, ev.kind, ev.parent_size, ev.n_after) for ev in result.events))
@@ -229,23 +212,20 @@ def cmd_population(cfg: dict, out: Path, seed: int) -> list:
     return [str(events_path), str(snap_path), str(spath)]
 
 
+# validate_config admits only these commands
+COMMANDS = {"simulate": cmd_simulate, "stationary": cmd_stationary,
+            "classify": cmd_classify, "evolve": cmd_evolve, "compare": cmd_compare,
+            "hormander": cmd_hormander, "population": cmd_population}
+
+
 def run(command: str, cfg: dict, out_dir, seed=None) -> dict:
-    """Dispatch one validated command; returns the status record."""
-    cfg = dict(cfg)
-    cfg["command"] = command
-    validate_config(cfg)
-    seed = int(cfg.get("seed", 12345) if seed is None else seed)
-    out = Path(out_dir)
+    """Dispatch one validated command; returns the status record.  ``out_dir`` and
+    ``seed``, when not None, replace the config's ``output_dir`` and ``seed``."""
+    cfg = validate_config({**cfg, "command": command,
+                           **({} if seed is None else {"seed": seed})})
+    out = Path(cfg["output_dir"] if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # validate_config admits only these commands
-    commands = {"simulate": lambda: cmd_simulate(cfg, out, seed),
-                "stationary": lambda: cmd_stationary(cfg, out),
-                "classify": lambda: cmd_classify(cfg, out),
-                "evolve": lambda: cmd_evolve(cfg, out),
-                "compare": lambda: cmd_compare(cfg, out),
-                "hormander": lambda: cmd_hormander(cfg, out),
-                "population": lambda: cmd_population(cfg, out, seed)}
-    return {"status": "ok", "command": command, "artifacts": commands[command]()}
+    return {"status": "ok", "command": command, "artifacts": COMMANDS[command](cfg, out)}
 
 
 def main(argv=None) -> int:
@@ -273,8 +253,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"CLI command {args.command!r} conflicts with config "
                 f"command {cfg['command']!r}", key="command")
-        out_dir = args.out or cfg.get("output_dir", "out")
-        status = run(command, cfg, out_dir, seed=args.seed)
+        status = run(command, cfg, args.out, seed=args.seed)
         print(json.dumps(status, sort_keys=True))
         return 0
     except ConfigError as exc:

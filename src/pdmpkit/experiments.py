@@ -1,9 +1,10 @@
 """Named experiments connecting simulation, analysis, and solvers.
 
-Each function takes a plain config dict (the ``compare:`` section of an
-experiment file), runs one reproducible experiment, and returns a JSON-able
-report with explicit pass flags.  The acceptance suite and the command-line
-``compare`` command share these implementations.
+Each function takes the ``compare:`` section of an experiment file as
+:func:`~pdmpkit.config.validate_config` returns it, runs one reproducible
+experiment, and returns a JSON-able report with explicit pass flags.  The
+acceptance suite and the command-line ``compare`` command share these
+implementations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .config import birth_switch_params, gene_params
-from .errors import ConfigError, InvalidParam
+from .errors import InvalidParam
 from .flows import QTransform, cumulative_hazard, flow_evolve, sample_jump_time
 from .mcstats import (
     dkw_epsilon,
@@ -46,14 +47,6 @@ from .transport import (
 )
 
 
-def _params(cfg: dict, key: str, parse):
-    """The model parameters of the compare section's mapping ``key``, read by ``parse``."""
-    if key not in cfg:
-        raise ConfigError(f"compare mode {cfg.get('mode')!r} needs compare.{key}",
-                          key=f"compare.{key}")
-    return parse(cfg[key], f"compare.{key}")
-
-
 def _report(passes: dict, **fields) -> dict:
     """An experiment report: its fields, each pass flag as a bool, and ``all_pass``."""
     passes = {k: bool(v) for k, v in passes.items()}
@@ -68,13 +61,11 @@ def dwell_time_ks(cfg: dict) -> dict:
     level) against F(t) = 1 - exp(-Lambda(t)) with Lambda computed by the
     hazard-integral quadrature from the same starting point.
     """
-    p = _params(cfg, "model_params", gene_params)
-    model = make_gene_expression(p)
-    regime = model.regimes[int(cfg.get("regime", 0))]
-    x0 = np.atleast_1d(np.asarray(cfg.get("x0", 1.0), dtype=float))
-    n = int(cfg.get("n", 100_000))
-    alpha = float(cfg.get("alpha", 0.01))
-    rng = path_rng(int(cfg.get("seed", 2024)), 0)
+    model = make_gene_expression(gene_params(cfg["model_params"]))
+    regime = model.regimes[cfg["regime"]]
+    x0 = np.atleast_1d(np.asarray(cfg["x0"], dtype=float))
+    n, alpha = cfg["n"], cfg["alpha"]
+    rng = path_rng(cfg["seed"], 0)
 
     hz = regime.hazards[0].hazard
     draws = np.array([sample_jump_time(regime.flow, hz, x0, rng) for _ in range(n)])
@@ -98,33 +89,27 @@ def gene_stationarity(cfg: dict) -> dict:
     a half-horizon burn-in); the switching solver is run to its steady state;
     both are compared in L1 against the analytic normalized pair.
     """
-    p = _params(cfg, "model_params", gene_params)
+    p = gene_params(cfg["model_params"])
     model = make_gene_expression(p)
     dens = _gene_analytic_fstar(p)
     a = p.x_max
-    seed = int(cfg.get("seed", 99))
 
-    horizon = float(cfg.get("horizon", 1e6))
-    delta = float(cfg.get("delta", 1.0))
-    xs, regs = occupation_samples(model, [0.5 * a], 0, horizon, path_rng(seed, 0),
-                                  delta=delta)
-    mc_grid = Grid1D(0.0, a, int(cfg.get("mc_bins", 64)))
+    xs, regs = occupation_samples(model, [0.5 * a], 0, cfg["horizon"],
+                                  path_rng(cfg["seed"], 0), delta=cfg["delta"])
+    mc_grid = Grid1D(0.0, a, cfg["mc_bins"])
     hist = empirical_density(xs, mc_grid, regimes=regs, n_regimes=2)
     l1_mc = l1_distance(hist, [dens.f0, dens.f1])
 
-    n_pde = int(cfg.get("pde_bins", 512))
-    grid = Grid1D(0.0, a, n_pde)
+    grid = Grid1D(0.0, a, cfg["pde_bins"])
     f = p.fields()
     speed = max(abs(f.g0(a)), abs(f.g1(0.0)), p.mu * a, p.P)
     dt = 0.45 * grid.h / speed
     solver = SwitchingSolver(grid, f.g0, f.g1, f.q0, f.q1, dt)
     density = density_from(grid, [lambda x: 0.5 / a, lambda x: 0.5 / a])
-    density, converged = steady_state(solver, density, tol=float(cfg.get("tol", 1e-8)),
-                                      t_max=float(cfg.get("t_max", 80.0)))
+    density, converged = steady_state(solver, density, tol=cfg["tol"], t_max=cfg["t_max"])
     l1_pde = l1_distance(density, [dens.f0, dens.f1])
 
-    thr_mc = float(cfg.get("mc_threshold", 0.03))
-    thr_pde = float(cfg.get("pde_threshold", 0.05))
+    thr_mc, thr_pde = cfg["mc_threshold"], cfg["pde_threshold"]
     passes = {"mc_l1": l1_mc < thr_mc, "pde_l1": l1_pde < thr_pde,
               "pde_converged": converged}
     return _report(passes, n_occupation_samples=int(xs.size), l1_mc_vs_analytic=l1_mc,
@@ -141,8 +126,8 @@ def stability_alternative(cfg: dict) -> dict:
     Sweeping, concentrate its ensemble below eps, and show the predicted
     regime mix among the near-zero paths.
     """
-    ps, pw = (_params(cfg, key, birth_switch_params) for key in ("stable", "sweeping"))
-    seed = int(cfg.get("seed", 512))
+    ps, pw = birth_switch_params(cfg["stable"]), birth_switch_params(cfg["sweeping"])
+    seed = cfg["seed"]
     out: dict = {}
     passes: dict = {}
 
@@ -152,13 +137,12 @@ def stability_alternative(cfg: dict) -> dict:
     passes["stable_verdict"] = rep_s.verdict == "Stable"
 
     model_s = make_birth_switch(ps)
-    horizon = float(cfg.get("stable_horizon", 2e5))
-    xs, regs = occupation_samples(model_s, [0.5 * ps.attractor_end], 0, horizon,
-                                  path_rng(seed, 0), delta=float(cfg.get("delta", 0.5)))
-    grid = Grid1D(0.0, ps.attractor_end, int(cfg.get("mc_bins", 64)))
+    xs, regs = occupation_samples(model_s, [0.5 * ps.attractor_end], 0,
+                                  cfg["stable_horizon"], path_rng(seed, 0), delta=cfg["delta"])
+    grid = Grid1D(0.0, ps.attractor_end, cfg["mc_bins"])
     hist = empirical_density(xs, grid, regimes=regs, n_regimes=2)
     l1 = l1_distance(hist, [dens.f0, dens.f1])
-    thr_l1 = float(cfg.get("l1_threshold", 0.05))
+    thr_l1 = cfg["l1_threshold"]
     out["stable_l1"] = l1
     out["stable_out_of_range"] = hist.out_of_range
     passes["stable_l1"] = l1 < thr_l1
@@ -168,26 +152,23 @@ def stability_alternative(cfg: dict) -> dict:
     passes["sweeping_verdict"] = rep_w.verdict == "Sweeping"
 
     model_w = make_birth_switch(pw)
-    t_final = float(cfg.get("sweep_time", 200.0))
-    times = sorted(set(list(cfg.get("sweep_snapshots", [])) + [t_final]))
-    n_paths = int(cfg.get("sweep_paths", 6000))
+    t_final = cfg["sweep_time"]
+    times = sorted(set(cfg["sweep_snapshots"] + [t_final]))
     x_start = 0.6 * pw.attractor_end
 
     def init(rng):
         return np.array([x_start]), 0
 
-    ens = simulate_ensemble(model_w, init, t_final, n_paths, seed + 1,
+    ens = simulate_ensemble(model_w, init, t_final, cfg["sweep_paths"], seed + 1,
                             snapshot_times=times)
     if ens.errors:
         raise ens.errors[0][1]
-    eps = float(cfg.get("eps", 0.05))
     sweep = sweeping_mass(ens.snapshot_times, ens.snapshot_states,
-                          ens.snapshot_regimes, eps)
+                          ens.snapshot_regimes, cfg["eps"])
     i_final = sweep.times.index(t_final)
     mass = float(sweep.mass_total[i_final])
     freq = sweep.regime_freq_small[i_final]
-    thr_mass = float(cfg.get("sweep_mass_threshold", 0.95))
-    freq_tol = float(cfg.get("regime_freq_tol", 0.02))
+    thr_mass, freq_tol = cfg["sweep_mass_threshold"], cfg["regime_freq_tol"]
     out["sweeping_mass"] = sweep.to_dict()
     out["sweeping_mass_final"] = mass
     out["regime_freq_final"] = [float(v) for v in freq]
@@ -210,10 +191,7 @@ def two_phase_recursion(cfg: dict) -> dict:
     law is sampled through the cumulative growth transform with fresh unit
     exponentials.  The two samples must agree in Kolmogorov-Smirnov distance.
     """
-    t_B = float(cfg.get("t_B", 0.5))
-    x0 = float(cfg.get("x0", 1.0))
-    n = int(cfg.get("n", 100_000))
-    seed = int(cfg.get("seed", 7071))
+    t_B, x0, n, seed = cfg["t_B"], cfg["x0"], cfg["n"], cfg["seed"]
     params = GrowthDivision(g=lambda x: x, phi=lambda x: x, t_B=t_B,
                             g_closed_form=lambda t, x: x * np.exp(t))
     model = make_cell_cycle(params)
@@ -241,7 +219,7 @@ def two_phase_recursion(cfg: dict) -> dict:
     ])
 
     ks = two_sample_ks(full, recursion)
-    thr = float(cfg.get("ks_threshold", 0.01))
+    thr = cfg["ks_threshold"]
     return _report({"ks": ks < thr}, n_samples=n, ks_statistic=ks, threshold=thr)
 
 
@@ -255,7 +233,8 @@ def mass_audit(cfg: dict) -> dict:
     cases = []
     ok = True
 
-    grid = Grid1D(0.0, 2.0, int(cfg.get("n", 128)))
+    n = cfg["n"]
+    grid = Grid1D(0.0, 2.0, n)
     f0 = lambda x: math.exp(-((x - 1.0) / 0.2) ** 2)
     d1 = evolve_liouville(grid, lambda x: -x, f0, t_end=2.0,
                           dt=0.4 * grid.h / 2.0)
@@ -266,7 +245,7 @@ def mass_audit(cfg: dict) -> dict:
     cases.append({"kind": "liouville_outflow", "mass_drift": d2.mass_drift(),
                   "outflow": d2.outflow})
 
-    sw_grid = Grid1D(0.0, 1.0, int(cfg.get("n", 128)))
+    sw_grid = Grid1D(0.0, 1.0, n)
     solver = SwitchingSolver(sw_grid, lambda x: -x, lambda x: 1.0 - x,
                              lambda x: 1.0, lambda x: 1.0, dt=0.4 * sw_grid.h)
     dens = density_from(sw_grid, [lambda x: 0.5, lambda x: 0.5])
@@ -274,7 +253,7 @@ def mass_audit(cfg: dict) -> dict:
     cases.append({"kind": "switching", "mass_drift": dens.mass_drift(),
                   "outflow": dens.outflow})
 
-    cc_grid = Grid1D(0.0, 8.0, int(cfg.get("n", 128)), dyadic_aligned=True)
+    cc_grid = Grid1D(0.0, 8.0, n, dyadic_aligned=True)
     cc = CellCycleSolver(cc_grid, lambda x: x, lambda x: x, dt=0.05 * cc_grid.h)
     dens_cc = density_from(cc_grid, [lambda x: math.exp(-((x - 1.0) / 0.3) ** 2)])
     cc.advance(dens_cc, 5.0)
@@ -305,9 +284,7 @@ def upwind_convergence(cfg: dict) -> dict:
     form; the L1 error ratio between two grids must sit in the first-order
     window [1.5, 3].
     """
-    ns = [int(v) for v in cfg.get("ns", (256, 512))]
-    t_end = float(cfg.get("t_end", 0.5))
-    x_max = float(cfg.get("x_max", 2.0))
+    ns, t_end, x_max = cfg["ns"], cfg["t_end"], cfg["x_max"]
     center, width = 1.0, 0.15
 
     def f0(x):
@@ -323,7 +300,7 @@ def upwind_convergence(cfg: dict) -> dict:
         density = evolve_liouville(grid, lambda x: -x, f0, t_end, dt)
         errors.append(l1_distance(density, exact))
     ratio = errors[0] / errors[1]
-    lo, hi = (float(v) for v in cfg.get("ratio_window", (1.5, 3.0)))
+    lo, hi = cfg["ratio_window"]
     ok = lo <= ratio <= hi
     return _report({"ratio": ok}, grids=ns, l1_errors=errors, ratio=ratio,
                    ratio_window=[lo, hi])
@@ -336,10 +313,7 @@ def population_moments(cfg: dict) -> dict:
     standard errors (a classical pure-birth law); with d/b = 2 the lineage
     must be extinct by the horizon in almost every run.
     """
-    seed = int(cfg.get("seed", 31337))
-    n_runs = int(cfg.get("n_runs", 10_000))
-    t_yule = float(cfg.get("yule_t", 3.0))
-    b_yule = float(cfg.get("yule_b", 1.0))
+    seed, n_runs, t_yule, b_yule = cfg["seed"], cfg["n_runs"], cfg["yule_t"], cfg["yule_b"]
 
     counts = np.empty(n_runs)
     for i in range(n_runs):
@@ -351,16 +325,13 @@ def population_moments(cfg: dict) -> dict:
     stderr = float(counts.std(ddof=1) / math.sqrt(n_runs))
     z = abs(mean - target) / stderr
 
-    b_ext = float(cfg.get("ext_b", 1.0))
-    d_ext = float(cfg.get("ext_d", 2.0))
-    horizon = float(cfg.get("ext_horizon", 50.0))
     extinct = 0
     for i in range(n_runs):
-        res = simulate_population(None, b_ext, d_ext, [1.0], horizon,
+        res = simulate_population(None, cfg["ext_b"], cfg["ext_d"], [1.0], cfg["ext_horizon"],
                                   path_rng(seed + 1, i))
         extinct += res.extinction_time is not None
     freq = extinct / n_runs
-    thr_freq = float(cfg.get("extinction_threshold", 0.99))
+    thr_freq = cfg["extinction_threshold"]
 
     return _report({"yule_mean": z <= 3.0, "extinction": freq > thr_freq},
                    n_runs=n_runs, yule_mean=mean, yule_target=target, yule_stderr=stderr,
@@ -382,26 +353,23 @@ def _random_poly_field(rng: np.random.Generator, d: int):
     return fn, jac
 
 
-def hormander_suite(cfg: dict, section: str = "compare") -> dict:
+def hormander_suite(cfg: dict) -> dict:
     """Span checks for the gene fields plus the degenerate and invariance cases.
 
     The gene pair differs by the constant production rate, so it spans the
     line everywhere; duplicated fields span nothing; and the computed rank is
     invariant under reordering the fields and rescaling them all by a common
-    positive constant (checked on randomized polynomial fields).  ``section``
-    names the config section of ``cfg`` in errors.
+    positive constant (checked on randomized polynomial fields).  ``cfg`` is the
+    ``hormander:`` section or a ``hormander_suite`` compare section.
     """
-    p = gene_params(cfg.get("model_params", {"P": 1.0, "mu": 1.0, "q0": 1.0, "q1": 1.0}),
-                    f"{section}.model_params")
-    f = p.fields()
+    f = gene_params(cfg["model_params"]).fields()
     off, on = f.flow(0), f.flow(1)
-    points = [float(v) for v in cfg.get("points", (0.1, 0.5, 0.9))]
+    points = cfg["points"]
     gene_ok = all(hormander_check([off, on], [x]).holds for x in points)
     dup_fails = not hormander_check([off, off], [0.5]).holds
 
-    n_cases = int(cfg.get("invariance_cases", 100))
-    seed = int(cfg.get("seed", 4242))
-    rng = np.random.default_rng(seed)
+    n_cases = cfg["invariance_cases"]
+    rng = np.random.default_rng(cfg["seed"])
     failures = 0
     for _ in range(n_cases):
         d = int(rng.integers(1, 4))
@@ -438,8 +406,5 @@ COMPARE_MODES: dict = {
 
 
 def run_compare(cfg: dict) -> dict:
-    mode = cfg.get("mode")
-    if mode not in COMPARE_MODES:
-        raise ConfigError(f"unknown compare mode {mode!r}; "
-                          f"known: {sorted(COMPARE_MODES)}", key="compare.mode")
-    return COMPARE_MODES[mode](cfg)
+    """The report of the validated compare section ``cfg``'s mode."""
+    return COMPARE_MODES[cfg["mode"]](cfg)

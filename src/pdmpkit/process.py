@@ -276,6 +276,9 @@ def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
         dt, _, _, kernel, label = best
     x_pre = evolve(reg.flow, x, dt)
     x_post, reg_post, kind = kernel.apply(x_pre, regime, rng)
+    if not 0 <= reg_post < len(model.regimes):
+        raise InvalidParam(f"jump kernel returned regime {reg_post}, not in "
+                           f"[0, {len(model.regimes)})")
     domain = model.regimes[reg_post].tuple_domain
     if domain is not None and not domain(x_post):
         raise InvalidParam(f"kernel left the domain of regime {reg_post}: state {x_post!r}")
@@ -335,7 +338,7 @@ def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
         raise InvalidParam("horizon must be positive")
     if jump_budget < 0:
         raise InvalidParam("jump_budget must be >= 0")
-    isfinite = math.isfinite
+    isfinite, k_regimes = math.isfinite, len(steps)
     s = list(_state(x0, dim))
     flow, lam, jump = steps[reg]
     reads = iter(times)
@@ -362,6 +365,9 @@ def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
                 if not all(map(isfinite, s_new)):
                     raise NonFinite("jump kernel produced a non-finite state")
                 reg_new = int(reg_new)
+                if not 0 <= reg_new < k_regimes:
+                    raise InvalidParam(f"jump kernel returned regime {reg_new}, not in "
+                                       f"[0, {k_regimes})")
                 step_new = steps[reg_new]
                 if n == jump_budget:
                     raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")

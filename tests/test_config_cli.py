@@ -21,7 +21,7 @@ from pdmpkit.config import (
     population_spec,
     validate_config,
 )
-from pdmpkit import exprs
+from pdmpkit import config, exprs
 from pdmpkit.errors import ConfigError, InvalidParam
 from pdmpkit.exprs import compile_expr, rate_from_config
 
@@ -659,6 +659,83 @@ class TestModelParams:
         out = json.loads(capsys.readouterr().out)
         assert (out["kind"], out["key"]) == ("ConfigError", "compare.model_params")
 
+    def test_rate_that_is_no_number_or_string_is_keyed(self, tmp_path, capsys):
+        # such a rate used to print "key": null
+        model = {"command": "classify", "model": {"name": "birth_switch", **self.BIRTH_SWITCH}}
+        for k, (cfg, where) in enumerate([*self.cases(), (model, ("model",))]):
+            params = cfg
+            for part in where:
+                params = params[part]
+            params["q0"] = [1]
+            assert _main(tmp_path / str(k), cfg) == 2
+            out = json.loads(capsys.readouterr().out)
+            assert (out["kind"], out["key"]) == ("ConfigError", ".".join(where) + ".q0")
+
+
+def _shipped(stem: str) -> dict:
+    return load_config(TESTS.parent / "configs" / f"{stem}.yaml")
+
+
+def _set(cfg: dict, path: str, value) -> dict:
+    """``cfg`` with the leaf at the dotted ``path`` set to ``value``, or deleted for _MISSING."""
+    *parents, leaf = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    if value is _MISSING:
+        node.pop(leaf, None)
+    else:
+        node[leaf] = value
+    return cfg
+
+
+class TestSchema:
+    """Every leaf is typed by the schema: a bad one exits 2 with its key path."""
+
+    @pytest.mark.parametrize("stem, path, value", [
+        # each used to escape main as a bare ValueError or TypeError
+        ("demo_gene_evolve", "evolve.dt", "abc"),
+        ("demo_gene_evolve", "evolve.t_end", "abc"),
+        ("demo_gene_evolve", "evolve.grid.n", "abc"),
+        ("demo_population", "population.horizon", "abc"),
+        ("demo_population", "model.max_cells", "abc"),
+        ("demo_population", "model.initial", "abc"),
+        ("demo_population", "model.initial", 3),
+        ("demo_gene_stationary", "stationary.grid_n", "abc"),
+        ("accept08_hormander", "hormander.points", "abc"),
+        ("accept01_gene_dwell_ks", "compare.n", "abc"),
+        ("accept01_gene_dwell_ks", "compare.alpha", "abc"),
+        ("accept01_gene_dwell_ks", "compare.x0", "abc"),
+        ("accept06_upwind_convergence", "compare.ns", "abc"),
+        ("accept06_upwind_convergence", "compare.ns", ["a", 512]),
+        ("accept07_population_moments", "compare.n_runs", "abc"),
+        # each used to be accepted: t_end -1 ran clean, n 2.5 exited 3, and
+        # seed true ran as seed 1
+        ("demo_gene_evolve", "evolve.t_end", -1),
+        ("demo_gene_evolve", "evolve.grid.n", 2.5),
+        ("accept09_reproducibility", "seed", True),
+        ("accept01_gene_dwell_ks", "compare.seed", True),
+        # a float where an integer is required used to be truncated by int()
+        ("demo_gene_evolve", "evolve.grid.n", 256.0),
+        ("accept06_upwind_convergence", "compare.ns", [256.0, 512]),
+    ])
+    def test_bad_leaf_exits_2_with_its_key(self, stem, path, value, tmp_path, capsys):
+        assert _main(tmp_path, _set(_shipped(stem), path, value)) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["key"]) == ("ConfigError", path)
+        assert not (tmp_path / "out").exists()
+
+    def test_returns_a_new_config_with_defaults_converted(self):
+        cfg = _shipped("demo_gene_evolve")
+        cfg["evolve"]["t_end"] = 50
+        out = validate_config(cfg)
+        assert out is not cfg and cfg["evolve"]["t_end"] == 50 and "f0" not in cfg["evolve"]
+        assert type(out["evolve"]["t_end"]) is float and out["evolve"]["t_end"] == 50.0
+        assert out["evolve"]["f0"] == {"kind": "uniform", "center": 0.5, "width": 0.1,
+                                       "regime": 0}
+        assert out["evolve"]["grid"] == {"n": 256, "x_max": 1.0, "x_min": 0.0}
+        assert out["seed"] == 1 and out["output_dir"] == "out"
+
 
 # leaves that a simulate section must not hold; _MISSING deletes the key
 _MISSING = object()
@@ -666,6 +743,54 @@ _BAD_LEAVES = st.sampled_from(["0.5", "abc", math.nan, math.inf, -math.inf, -1, 
                                None, [], [1.0, "x"], [[0.5]], {"a": 1}, _MISSING])
 _SIMULATE_KEYS = ("x0", "regime0", "horizon", "n_paths", "snapshot_times",
                   "record_trajectories", "jump_budget")
+
+
+def _schema_sites(table: dict, raw: dict, path: str = ""):
+    """(path, kind, default) of each key of the schema ``table``, and of each key
+    inside the nested sections that the config section ``raw`` holds."""
+    for key, (kind, default) in table.items():
+        at = f"{path}.{key}" if path else key
+        yield at, kind, default
+        value = raw.get(key)
+        if isinstance(value, dict) and isinstance(kind, dict):
+            yield from _schema_sites(kind, value, at)
+        elif isinstance(value, dict) and kind[0] == "pick":
+            _, choice, tables = kind
+            yield f"{at}.{choice}", set(tables), ...
+            yield from _schema_sites(tables[value[choice]], value, at)
+
+
+_SITES = [(stem, site) for stem, cfg in ((p.stem, load_config(p)) for p in
+                                         sorted((TESTS.parent / "configs").glob("*.yaml")))
+          for site in _schema_sites({**config._TOP, **config._SECTIONS[cfg["command"]]}, cfg)]
+# the bad values that a kind admits: -1 is a number and an integer, and every
+# string is a rate (compiled only where the model is built)
+_ADMITTED = {"num": [-1], "rate": [-1, "0.5", "abc"], "point": [-1], "regime": [-1],
+             "str": ["0.5", "abc"], "bool": [True, False], "nums": [[]]}
+
+
+def _admits(kind, default, value) -> bool:
+    if value is _MISSING:
+        return default is not ...
+    if value is None:
+        return default is None
+    return isinstance(kind, str) and any(type(v) is type(value) and v == value
+                                         for v in _ADMITTED.get(kind, []))
+
+
+@settings(max_examples=150, deadline=None)
+@given(site=st.sampled_from(_SITES), value=_BAD_LEAVES)
+def test_fuzzed_leaf_of_any_shipped_config_fails_validation_with_its_key(site, value):
+    # validation only: a leaf of the wrong kind must never reach a run
+    stem, (path, kind, default) = site
+    cfg = _set(_shipped(stem), path, value)
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        assert exc.key == path or str(exc.key).startswith((f"{path}.", f"{path}[")), \
+            (stem, path, value, exc.key)
+    else:
+        assert _admits(kind, default, value), f"{stem}: {path} = {value!r} was accepted"
 
 
 @settings(max_examples=40, deadline=None)

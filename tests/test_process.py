@@ -23,6 +23,8 @@ from pdmpkit import (
     JumpKernel,
     PdmpModel,
     Regime,
+    TupleFn,
+    TupleMap,
     dkw_epsilon,
     flow_evolve,
     iter_events,
@@ -462,6 +464,26 @@ class TestValidation:
         assert [i for i, _ in ens.errors] == [0, 1]
         assert all(isinstance(e, InvalidParam) for _, e in ens.errors)
         assert (ens.snapshot_regimes == -1).all() and (ens.final_regimes == -1).all()
+
+    @pytest.mark.parametrize("regime", [-1, 2])
+    @pytest.mark.parametrize("float_form", [True, False])
+    def test_kernel_regime_outside_the_model_rejected(self, regime, float_form):
+        # -1 used to be recorded as regime_post and written into snapshot_regimes,
+        # where -1 means unfilled; 2 raised a bare IndexError
+        flow = Flow(dim=2, rhs=lambda s: np.array([s[1], 0.0]),
+                    closed_form=TupleFn(lambda t, s: (s[0] + s[1] * t, s[1])))
+        kernel = (TupleMap(lambda s, r: (s, regime)) if float_form
+                  else lambda x, r, rng: (x, regime))
+        model = PdmpModel("fixed_regime", (Regime(0, flow, hazards=(
+            HazardChannel(Hazard.constant(5.0), JumpKernel(kernel)),)),))
+        assert (model.regimes[0].float_step is not None) == float_form
+        with pytest.raises(InvalidParam, match="kernel returned regime"):
+            simulate_trajectory(model, [0.0, 1.0], 0, 10.0, path_rng(1, 0))
+        ens = simulate_ensemble(model, lambda rng: ([0.0, 1.0], 0), 10.0, 2, 1,
+                                snapshot_times=[5.0])
+        assert [i for i, _ in ens.errors] == [0, 1]
+        assert all(isinstance(e, InvalidParam) and "kernel returned regime" in str(e)
+                   for _, e in ens.errors)
 
     @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb", None])
     def test_label_that_csv_would_quote_rejected(self, label):

@@ -20,8 +20,10 @@ from pdmpkit import (
     two_phase_density,
 )
 from pdmpkit.cli import run
+from pdmpkit.config import model_view
 from pdmpkit.errors import (
     CflViolation,
+    ConfigError,
     DtMisaligned,
     GridNotDyadic,
     InvalidParam,
@@ -249,9 +251,21 @@ class TestTwoPhase:
         {"name": "cell_cycle_1p", "g": "x", "phi": "0.9 * x"},
         {"name": "cell_cycle_2p", "g": "x", "phi": "0.9 * x", "t_B": 0.5}])
     def test_negative_duration_rejected(self, model, t_end, tmp_path):
+        # the config schema rejects such a t_end before a solver is built, and
+        # each solver still guards its own advance
         evolve = {"grid": {"n": 16, "x_max": 8.0}, "dt": 0.015625, "t_end": t_end}
-        with pytest.raises(InvalidParam, match=r"need dt > 0 and t_end >= 0"):
+        with pytest.raises(ConfigError) as err:
             run("evolve", {"model": model, "evolve": evolve}, tmp_path)
+        assert err.value.key == "evolve.t_end"
+        view, grid = model_view(model), Grid1D(0.0, 8.0, 16, dyadic_aligned=True)
+        if view.t_B is None:
+            solver = CellCycleSolver(grid, view.g, view.phi_fn, 0.015625)
+            density = density_from(grid, [lambda x: 1.0])
+        else:
+            solver = TwoPhaseSolver(grid, 32, view.t_B, view.g, view.phi_fn, 0.015625)
+            density = two_phase_density(grid, 32, view.t_B, lambda x: 1.0)
+        with pytest.raises(InvalidParam, match=r"need dt > 0 and t_end >= 0"):
+            solver.advance(density, t_end)
 
     def test_dt_must_divide_y_cell(self):
         grid = Grid1D(0.0, 4.0, 32, dyadic_aligned=True)
