@@ -224,8 +224,14 @@ def run(command: str, cfg: dict, out_dir, seed=None) -> dict:
     cfg = validate_config({**cfg, "command": command,
                            **({} if seed is None else {"seed": seed})})
     out = Path(cfg["output_dir"] if out_dir is None else out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    return {"status": "ok", "command": command, "artifacts": COMMANDS[command](cfg, out)}
+    try:
+        return {"status": "ok", "command": command, "artifacts": COMMANDS[command](cfg, out)}
+    except BaseException:   # a directory this run made and left empty goes again
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ from .flows import (Flow, Hazard, TupleFn, _floats, _state, boundary_hit_time, e
 Array = np.ndarray
 
 DEFAULT_JUMP_BUDGET = 10_000_000
-BLOCK = 64      # Exp(1) levels drawn per call by the plain-float path reader
+BLOCK = 64      # Exp(1) levels drawn per call on a model's plain-float steps
 
 KernelFn = Callable[[Array, int, np.random.Generator], tuple]
 
@@ -40,7 +40,7 @@ KernelFn = Callable[[Array, int, np.random.Generator], tuple]
 class TupleMap(TupleFn):
     """A jump that draws nothing, on plain floats: ``fn(s, regime) -> (s',
     regime')``, ``s`` a tuple or a list of floats and ``s'`` a tuple; the
-    streamed reader runs it (see :class:`Regime`)."""
+    event loop runs it inline (see :class:`Regime`)."""
 
 
 @lru_cache(maxsize=1024)
@@ -135,8 +135,8 @@ class Regime:
     # the regime's one jump cause when it has one hazard and no clock
     sole_hazard: Optional[HazardChannel] = field(init=False, default=None, repr=False,
                                                  compare=False)
-    # (tuple flow fn, rate, jump map fn) when that hazard has a constant rate,
-    # the regime no domain, the flow's closed form a TupleFn and the kernel a TupleMap
+    # (tuple flow fn, rate, jump map fn, label) when that hazard has a constant
+    # rate, the regime no domain, the flow's closed form a TupleFn and the kernel a TupleMap
     float_step: Optional[tuple] = field(init=False, default=None, repr=False,
                                         compare=False)
 
@@ -154,7 +154,7 @@ class Regime:
             if (ch.hazard.const_rate is not None and self.domain is None
                     and isinstance(closed, TupleFn) and isinstance(jump, TupleMap)):
                 object.__setattr__(self, "float_step",
-                                   (closed.fn, ch.hazard.const_rate, jump.fn))
+                                   (closed.fn, ch.hazard.const_rate, jump.fn, ch.label))
         if not self.absorbing and not self.hazards and not self.clocks:
             raise InvalidParam(
                 f"regime {self.index} has no hazards and no clocks; declare it absorbing"
@@ -163,11 +163,13 @@ class Regime:
 
 @dataclass(frozen=True)
 class PdmpModel:
-    """Immutable process description: regimes, shared dimension, parameters."""
+    """Immutable process description: regimes, shared dimension, parameters;
+    ``float_steps`` holds every regime's ``float_step`` when none is None."""
 
     name: str
     regimes: Tuple[Regime, ...]
     params: dict = field(default_factory=dict)
+    float_steps: Optional[tuple] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "regimes", tuple(self.regimes))
@@ -177,6 +179,9 @@ class PdmpModel:
         dims = {r.flow.dim for r in self.regimes}
         if len(dims) != 1:
             raise InvalidParam("all regimes must share the state dimension")
+        steps = tuple(r.float_step for r in self.regimes)
+        if None not in steps:
+            object.__setattr__(self, "float_steps", steps)
 
     @property
     def dim(self) -> int:
@@ -235,12 +240,18 @@ def _regime(model: PdmpModel, regime) -> int:
     return r
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidParam(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
-           t_max: float, elapsed_in_regime: float) -> Optional[EventResult]:
-    """:func:`next_event` for ``t_max > 0``, with states as tuples of floats."""
+           t_max: float, elapsed_in_regime: float) -> Optional[tuple]:
+    """:func:`next_event` for ``t_max > 0`` and a state of the model's length,
+    as a plain ``(dt, kind, state_pre, state_post, regime_post)`` of tuple states."""
     reg = model.regimes[regime]
-    if len(x) != reg.flow.dim:
-        _state(x, reg.flow.dim)
     ch = reg.sole_hazard
     if ch is not None:
         try:
@@ -282,7 +293,7 @@ def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
     domain = model.regimes[reg_post].tuple_domain
     if domain is not None and not domain(x_post):
         raise InvalidParam(f"kernel left the domain of regime {reg_post}: state {x_post!r}")
-    return EventResult(dt, kind or label, x_pre, x_post, reg_post)
+    return dt, kind or label, x_pre, x_post, reg_post
 
 
 def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *,
@@ -298,8 +309,89 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
     if t_max <= 0:
         return None
     ev = _event(model, _state(state, model.dim), regime, rng, t_max, elapsed_in_regime)
-    return None if ev is None else ev._replace(state_pre=np.array(ev.state_pre, dtype=float),
-                                               state_post=np.array(ev.state_post, dtype=float))
+    return None if ev is None else EventResult(*ev)._replace(
+        state_pre=np.array(ev[2], dtype=float), state_post=np.array(ev[3], dtype=float))
+
+
+def _path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator, horizon: float,
+          jump_budget: int, times=None) -> Iterator[tuple]:
+    """The event loop of every path: flow to the next jump time, jump, repeat.
+
+    Without ``times`` it yields each event as ``(t, kind, regime_pre,
+    regime_post, state_pre, state_post, dt)``; with them, the right-continuous
+    ``(state, regime)`` at each of the nondecreasing ``times``, the events drawn
+    one ahead of the reads.  On a model's ``float_steps`` each event is worked
+    here on plain floats, its Exp(1) level drawn ``BLOCK`` at a time, with
+    :func:`_event`'s checks in its order; :func:`_event` works any other.  One
+    event more than ``jump_budget`` before the horizon raises."""
+    if not horizon > 0:     # NaN fails too
+        raise InvalidParam("horizon must be positive")
+    _count("jump_budget", jump_budget, 0)
+    s, reg, dim = _state(x0, model.dim), _regime(model, regime0), model.dim
+    steps, k_regimes, isfinite = model.float_steps, len(model.regimes), math.isfinite
+    reads = None if times is None else iter(times)
+    t_read = None if reads is None else next(reads, None)
+    xis, k, n, t, entered = (), BLOCK, 0, 0.0, 0.0
+    while True:
+        # the event ending the segment (t, s, reg) is at t_new, None past the horizon
+        t_new = None
+        if len(s) != dim:
+            _state(s, dim)
+        if steps is not None:
+            flow, lam, jump, kind = steps[reg]
+        if t < horizon:     # as in _event, nothing is drawn at the horizon
+            if steps is None:
+                ev = _event(model, s, reg, rng, horizon - t, t - entered)
+                if ev is not None:
+                    tau, kind, s_pre, s_new, reg_new = ev
+                    t_new = t + tau
+                    if reg_new != reg:
+                        entered = t_new
+            else:
+                if k == BLOCK:
+                    xis, k = rng.exponential(size=BLOCK).tolist(), 0
+                xi = xis[k]
+                k += 1
+                if lam != 0.0 and not (tau := xi / lam) > horizon - t:
+                    s_pre = s
+                    if tau != 0.0:
+                        s_pre = flow(tau, s)
+                        if not all(map(isfinite, s_pre)):
+                            raise NonFinite(
+                                f"closed-form flow produced non-finite state at t={tau:.6g}")
+                    s_new, reg_new = jump(s_pre, reg)
+                    if not all(map(isfinite, s_new)):
+                        raise NonFinite("jump kernel produced a non-finite state")
+                    reg_new = int(reg_new)
+                    if not 0 <= reg_new < k_regimes:
+                        raise InvalidParam(f"jump kernel returned regime {reg_new}, not in "
+                                           f"[0, {k_regimes})")
+                    t_new = t + tau
+            if t_new is not None:
+                if n == jump_budget:
+                    raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
+                n += 1
+        if reads is None:
+            if t_new is None:
+                return
+            yield t_new, kind, reg, reg_new, s_pre, s_new, tau
+        else:
+            # right-continuous: a read at t_new belongs to the next segment
+            while t_read is not None and (t_new is None or not t_new <= t_read):
+                dt = t_read - t
+                if dt < 0:
+                    raise InvalidParam("flow_evolve needs t >= 0")
+                x = s
+                if dt != 0.0:
+                    x = evolve(model.regimes[reg].flow, s, dt) if steps is None else flow(dt, s)
+                    if not all(map(isfinite, x)):
+                        raise NonFinite(
+                            f"closed-form flow produced non-finite state at t={dt:.6g}")
+                yield x, reg
+                t_read = next(reads, None)
+            if t_read is None:
+                return
+        t, s, reg = t_new, s_new, reg_new
 
 
 def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
@@ -307,87 +399,8 @@ def iter_events(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
                 ) -> Iterator[Tuple[float, int, EventResult]]:
     """Stream (absolute time, pre-jump regime, event with tuple states) without
     storing the path; one event more than ``jump_budget`` before the horizon raises."""
-    if not horizon > 0:     # NaN fails too
-        raise InvalidParam("horizon must be positive")
-    if jump_budget < 0:
-        raise InvalidParam("jump_budget must be >= 0")
-    t, x, reg, entered, n = 0.0, _state(x0, model.dim), _regime(model, regime0), 0.0, 0
-    while t < horizon:
-        ev = _event(model, x, reg, rng, horizon - t, t - entered)
-        if ev is None:
-            return
-        if n == jump_budget:
-            raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
-        t_jump = t + ev.dt
-        yield t_jump, reg, ev
-        n += 1
-        if ev.regime_post != reg:
-            entered = t_jump
-        t = t_jump
-        x = ev.state_post
-        reg = ev.regime_post
-
-
-def _float_reads(steps: list, dim: int, x0, reg: int, rng: np.random.Generator,
-                 horizon: float, times, jump_budget: int) -> Iterator[tuple]:
-    """:func:`read_path` for a model whose regimes' ``float_step`` are ``steps``,
-    yielding each read's state as a sequence of floats.  Events are drawn
-    inline, one ahead of the reads, with the Exp(1) levels ``BLOCK`` at a time
-    from one ``rng.exponential`` call; every check fires where the engine's does."""
-    if not horizon > 0:     # NaN fails too
-        raise InvalidParam("horizon must be positive")
-    if jump_budget < 0:
-        raise InvalidParam("jump_budget must be >= 0")
-    isfinite, k_regimes = math.isfinite, len(steps)
-    s = list(_state(x0, dim))
-    flow, lam, jump = steps[reg]
-    reads = iter(times)
-    t_read = next(reads, None)
-    xis, k, n, t = (), BLOCK, 0, 0.0
-    while True:
-        # the event ending the segment (t, s, reg) is at t_new, None past the horizon
-        t_new = None
-        if len(s) != dim:
-            _state(s, dim)
-        if t < horizon:     # as the engine, nothing is drawn at the horizon
-            if k == BLOCK:
-                xis, k = rng.exponential(size=BLOCK).tolist(), 0
-            xi = xis[k]
-            k += 1
-            if lam != 0.0 and not (tau := xi / lam) > horizon - t:
-                s_new = s
-                if tau != 0.0:
-                    s_new = flow(tau, s)
-                    if not all(map(isfinite, s_new)):
-                        raise NonFinite(
-                            f"closed-form flow produced non-finite state at t={tau:.6g}")
-                s_new, reg_new = jump(s_new, reg)
-                if not all(map(isfinite, s_new)):
-                    raise NonFinite("jump kernel produced a non-finite state")
-                reg_new = int(reg_new)
-                if not 0 <= reg_new < k_regimes:
-                    raise InvalidParam(f"jump kernel returned regime {reg_new}, not in "
-                                       f"[0, {k_regimes})")
-                step_new = steps[reg_new]
-                if n == jump_budget:
-                    raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
-                n += 1
-                t_new = t + tau
-        # right-continuous: a read at t_new belongs to the next segment
-        while t_read is not None and (t_new is None or not t_new <= t_read):
-            dt = t_read - t
-            if dt < 0:
-                raise InvalidParam("flow_evolve needs t >= 0")
-            x = s
-            if dt != 0.0:
-                x = flow(dt, s)
-                if not all(map(isfinite, x)):
-                    raise NonFinite(f"closed-form flow produced non-finite state at t={dt:.6g}")
-            yield x, reg
-            t_read = next(reads, None)
-        if t_read is None:
-            return
-        t, s, reg, (flow, lam, jump) = t_new, s_new, reg_new, step_new
+    for t, kind, r0, r1, pre, post, dt in _path(model, x0, regime0, rng, horizon, jump_budget):
+        yield t, r0, EventResult(dt, kind, pre, post, r1)
 
 
 def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
@@ -396,26 +409,9 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
     """Stream (state, regime) along one path at each of the nondecreasing
     ``times`` in [0, horizon], drawing events only as far as the reads need.
     Paths are right-continuous: a read at a jump time sees the post-jump state,
-    as :meth:`Trajectory.state_at` does.
-
-    When every regime has a ``float_step`` the path runs on plain floats with
-    block-drawn levels: the same states and errors as the engine, in a
-    different ``rng`` end state."""
-    regime0 = _regime(model, regime0)
-    steps = [r.float_step for r in model.regimes]
-    if None not in steps:
-        yield from ((np.array(s, dtype=float), reg) for s, reg in _float_reads(
-            steps, model.dim, x0, regime0, rng, horizon, times, jump_budget))
-        return
-    x, reg, t_seg = _state(x0, model.dim), regime0, 0.0
-    events = iter_events(model, x, reg, rng, horizon, jump_budget)
-    nxt = next(events, None)
-    for t in times:
-        while nxt is not None and nxt[0] <= t:
-            t_seg, _, ev = nxt
-            x, reg = ev.state_post, ev.regime_post
-            nxt = next(events, None)
-        yield flow_evolve(model.regimes[reg].flow, x, t - t_seg), reg
+    as :meth:`Trajectory.state_at` does."""
+    for x, reg in _path(model, x0, regime0, rng, horizon, jump_budget, times):
+        yield np.array(x, dtype=float), reg
 
 
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
@@ -425,10 +421,9 @@ def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
     x = _state(x0, model.dim)
     segments = [Segment(0.0, int(regime0), x)]
     jumps = []
-    for t_jump, reg_pre, ev in iter_events(model, x, regime0, rng, horizon, jump_budget):
-        jumps.append(JumpRecord(t_jump, ev.kind, reg_pre, ev.regime_post,
-                                ev.state_pre, ev.state_post))
-        segments.append(Segment(t_jump, ev.regime_post, ev.state_post))
+    for t, kind, r0, r1, pre, post, _ in _path(model, x, regime0, rng, horizon, jump_budget):
+        jumps.append(JumpRecord(t, kind, r0, r1, pre, post))
+        segments.append(Segment(t, r1, post))
     return Trajectory(model=model, segments=segments, jumps=jumps, horizon=horizon)
 
 
@@ -509,32 +504,28 @@ def simulate_ensemble(model: PdmpModel, initial_sampler, horizon: float, n_paths
     (seed, n_paths, model, snapshot_times) alone.  A path that raises a
     :class:`PdmpError` keeps its earlier reads; the error goes to ``errors``.
     """
-    if n_paths < 1:
-        raise InvalidParam("n_paths must be >= 1")
+    n_paths = _count("n_paths", n_paths, 1)
+    _count("jump_budget", jump_budget, 0)
     if not horizon > 0:
         raise InvalidParam("horizon must be positive")
     snaps = np.asarray(sorted(snapshot_times), dtype=float)
     if not ((snaps >= 0) & (snaps <= horizon)).all():     # NaN fails too
         raise InvalidParam("snapshot times must lie in [0, horizon]")
-    dim = model.dim
     out = EnsembleResult(
         snapshot_times=tuple(snaps.tolist()),
-        snapshot_states=np.full((snaps.size, n_paths, dim), np.nan),
+        snapshot_states=np.full((snaps.size, n_paths, model.dim), np.nan),
         snapshot_regimes=np.full((snaps.size, n_paths), -1, dtype=np.int64),
-        final_states=np.full((n_paths, dim), np.nan),
+        final_states=np.full((n_paths, model.dim), np.nan),
         final_regimes=np.full(n_paths, -1, dtype=np.int64),
         horizon=horizon,
         errors=[],
     )
-    steps, times = [r.float_step for r in model.regimes], [*out.snapshot_times, horizon]
+    times = [*out.snapshot_times, horizon]
     for i in range(n_paths):
         rng = path_rng(seed, i)
         x0, r0 = initial_sampler(rng)
         try:
-            r0 = _regime(model, r0)
-            reads = (read_path(model, x0, r0, rng, horizon, times, jump_budget)
-                     if None in steps else
-                     _float_reads(steps, dim, x0, r0, rng, horizon, times, jump_budget))
+            reads = _path(model, x0, r0, rng, horizon, jump_budget, times)
             for k, (x, reg) in zip(range(snaps.size), reads):
                 out.snapshot_states[k, i] = x
                 out.snapshot_regimes[k, i] = reg
@@ -578,6 +569,8 @@ def snapshots_to_csv(ensemble: EnsembleResult, path) -> None:
 
 def trajectory_snapshots_to_csv(trajectories: Sequence[Trajectory], times, path) -> None:
     """The layout of :func:`snapshots_to_csv`, read off recorded trajectories."""
+    if not trajectories:
+        raise InvalidParam("need at least one trajectory")
     _snapshots_csv(path, trajectories[0].model.dim, (
         (pid, t, *traj.state_at(t)) for t in sorted(times)
         for pid, traj in enumerate(trajectories)))

@@ -603,7 +603,17 @@ class TestSimulateInputs:
         assert _main(tmp_path, self.config(record, regime0=regime0)) == 3
         err = json.loads(capsys.readouterr().out)
         assert err["kind"] == "ModelError" and "regime" in err["message"]
-        assert not (tmp_path / "out" / "summary.json").exists()
+        # the output directory this run made is gone again, not left empty
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_failed_run_leaves_an_existing_directory(self, held, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        if held:
+            (out / "keep.txt").write_text("x")
+        assert _main(tmp_path, self.config(True, regime0=5)) == 3
+        assert out.is_dir() and [p.name for p in out.iterdir()] == (["keep.txt"] if held else [])
 
 
 class TestModelParams:

@@ -1,11 +1,12 @@
-"""The plain-float path reader against the engine, byte for byte.
+"""The event loop's plain-float case against its general case, byte for byte.
 
-``read_path`` runs a model whose every regime has one constant-rate hazard, no
-clock, no domain, a :class:`TupleFn` closed form and a :class:`TupleMap` on tuples of
-floats with block-drawn levels.  Each test reads the same path through the
-engine as well: the engine twin is the same model with its flows and jumps
-behind plain closures, which do not opt in.  States, regimes and the classes
-of raised errors must agree; only the generator's end state may differ.
+A model whose every regime has one constant-rate hazard, no clock, no domain,
+a :class:`TupleFn` closed form and a :class:`TupleMap` has its events worked
+inline on tuples of floats with block-drawn levels, for reads and for recorded
+paths alike.  Each test runs the same path through ``_event`` as well: the
+engine twin is the same model with its flows and jumps behind plain closures,
+which do not opt in.  States, regimes, jumps and the classes of raised errors
+must agree; only the generator's end state may differ.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from pdmpkit import (
     make_telegraph,
     occupation_samples,
     path_rng,
+    iter_events,
     simulate_ensemble,
     simulate_trajectory,
 )
@@ -71,7 +73,7 @@ def engine_twin(model: PdmpModel) -> PdmpModel:
         return dataclasses.replace(regime, flow=flow, hazards=hazards)
 
     twin = PdmpModel(model.name, tuple(plain(r) for r in model.regimes), model.params)
-    assert all(r.float_step is None for r in twin.regimes)
+    assert all(r.float_step is None for r in twin.regimes) and twin.float_steps is None
     return twin
 
 
@@ -99,9 +101,35 @@ def jump_times(model, x0, regime0, horizon, seed=11):
     return [j.t for j in traj.jumps]
 
 
+def recorded(model, x0, regime0, horizon, seed=11):
+    """Every recorded jump with its states as float64 bytes."""
+    traj = simulate_trajectory(model, x0, regime0, horizon, path_rng(seed, 0))
+    return [(j.t, j.kind, j.regime_pre, j.regime_post, np.asarray(j.state_pre, dtype=float)
+             .tobytes(), np.asarray(j.state_post, dtype=float).tobytes()) for j in traj.jumps]
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_catalog_models_opt_in(name):
-    assert all(r.float_step is not None for r in CASES[name][0].regimes)
+    model = CASES[name][0]
+    assert all(r.float_step is not None for r in model.regimes)
+    assert model.float_steps == tuple(r.float_step for r in model.regimes)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_recorded_paths_match_the_engine(name):
+    model, x0, regime0, horizon = CASES[name]
+    twin = engine_twin(model)
+    jumps = recorded(model, x0, regime0, horizon)
+    assert len(jumps) > 4 and jumps == recorded(twin, x0, regime0, horizon)
+    budget = len(jumps) // 2
+    for m in (model, twin):
+        with pytest.raises(JumpBudgetExceeded):
+            simulate_trajectory(m, x0, regime0, horizon, path_rng(11, 0), jump_budget=budget)
+        seen = []
+        with pytest.raises(JumpBudgetExceeded):
+            for t, _, _ in iter_events(m, x0, regime0, path_rng(11, 0), horizon, budget):
+                seen.append(t)
+        assert seen == [j[0] for j in jumps[:budget]]
 
 
 def test_other_models_stay_on_the_engine():
@@ -249,10 +277,11 @@ def test_rate_zero_reads_the_flow_to_the_horizon():
 def test_the_engine_is_not_used(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the engine ran")
-    monkeypatch.setattr(process, "iter_events", fail)
-    monkeypatch.setattr(process, "flow_evolve", fail)
+    monkeypatch.setattr(process, "_event", fail)
+    monkeypatch.setattr(process, "sample_jump_time", fail)
     model, x0, regime0, horizon = CASES["gene_expression"]
     assert len(reads(model, x0, regime0, horizon, [1.0, horizon])) == 2
+    assert simulate_trajectory(model, x0, regime0, horizon, path_rng(11, 0)).jumps
 
 
 def test_occupation_samples_match_the_engine():

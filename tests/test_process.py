@@ -40,7 +40,8 @@ from pdmpkit import (
 )
 from pdmpkit import GeneExpressionParams, GrowthDivision
 from pdmpkit.errors import InvalidParam, JumpBudgetExceeded, NonFinite
-from pdmpkit.process import read_path, snapshots_to_csv, trajectories_to_csv
+from pdmpkit.process import (read_path, snapshots_to_csv, trajectories_to_csv,
+                             trajectory_snapshots_to_csv)
 
 TOL_FLOW = 1e-10
 
@@ -427,6 +428,13 @@ class TestExport:
         assert rows[0] == ["path_id", "t_snap", "regime", "s0", "s1"]
         assert len(rows) - 1 == 6
 
+    def test_no_trajectories_rejected(self, tmp_path):
+        # the snapshot export used to raise a bare IndexError
+        for export in (trajectories_to_csv, lambda trajs, path: trajectory_snapshots_to_csv(
+                trajs, [0.0, 1.0], path)):
+            with pytest.raises(InvalidParam, match="at least one trajectory"):
+                export([], tmp_path / "out.csv")
+
 
 class TestValidation:
     @pytest.mark.parametrize("snaps", [[1.0, math.nan], [math.nan], [-1.0], [1.0, 6.0]])
@@ -445,6 +453,38 @@ class TestValidation:
             next(read_path(model, [0.0, 1.0], 0, path_rng(1, 0), horizon, [0.0]))
         with pytest.raises(InvalidParam, match="horizon"):
             simulate_ensemble(model, lambda rng: ([0.0, 1.0], 0), horizon, 2, 1)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, False, "3", -1, None])
+    @pytest.mark.parametrize("float_step", [True, False])
+    def test_jump_budget_must_be_an_int_of_at_least_0(self, budget, float_step):
+        # 2.5 used to be no cap at all (n == 2.5 never holds) and True a cap of 1
+        model = make_gene_expression(GeneExpressionParams(
+            P=1.0, mu=1.0, q0=1.0 if float_step else lambda x: 1.0, q1=1.0))
+        assert (model.float_steps is not None) == float_step
+        with pytest.raises(InvalidParam, match="jump_budget"):
+            simulate_trajectory(model, [0.5], 0, 50.0, path_rng(1, 0), jump_budget=budget)
+        with pytest.raises(InvalidParam, match="jump_budget"):
+            next(iter_events(model, [0.5], 0, path_rng(1, 0), 50.0, jump_budget=budget))
+        with pytest.raises(InvalidParam, match="jump_budget"):
+            next(read_path(model, [0.5], 0, path_rng(1, 0), 50.0, [1.0], jump_budget=budget))
+        with pytest.raises(InvalidParam, match="jump_budget"):
+            simulate_ensemble(model, lambda rng: ([0.5], 0), 50.0, 3, 1, jump_budget=budget)
+
+    def test_integer_jump_budgets_accepted(self):
+        model = make_telegraph(1.0, 1.0)
+        for budget in (0, np.int64(0)):
+            ens = simulate_ensemble(model, lambda rng: ([0.0, 1.0], 0), 50.0, 2, 1,
+                                    jump_budget=budget)
+            assert [type(e) for _, e in ens.errors] == [JumpBudgetExceeded] * 2
+        assert simulate_trajectory(model, [0.0, 1.0], 0, 50.0, path_rng(1, 0),
+                                   jump_budget=10**30).jumps
+
+    @pytest.mark.parametrize("n_paths", [2.5, 2.0, True, "2", 0, -1, None])
+    def test_n_paths_must_be_an_int_of_at_least_1(self, n_paths):
+        # 2.5 and True used to raise a bare TypeError from numpy
+        with pytest.raises(InvalidParam, match="n_paths"):
+            simulate_ensemble(make_telegraph(1.0, 1.0), lambda rng: ([0.0, 1.0], 0), 5.0,
+                              n_paths, 1)
 
     @pytest.mark.parametrize("regime", [-1, 2, 5])
     @pytest.mark.parametrize("float_step", [True, False])
