@@ -242,7 +242,7 @@ def _regime(model: PdmpModel, regime) -> int:
 
 def _count(name: str, value, least: int) -> int:
     """``value`` as an int >= ``least``; a bool, float or string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    if not (type(value) is int or isinstance(value, np.integer)) or value < least:
         raise InvalidParam(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -337,17 +337,17 @@ def _path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator, horizon:
         t_new = None
         if len(s) != dim:
             _state(s, dim)
-        if steps is not None:
-            flow, lam, jump, kind = steps[reg]
-        if t < horizon:     # as in _event, nothing is drawn at the horizon
-            if steps is None:
+        if steps is None:
+            if t < horizon:
                 ev = _event(model, s, reg, rng, horizon - t, t - entered)
                 if ev is not None:
                     tau, kind, s_pre, s_new, reg_new = ev
                     t_new = t + tau
                     if reg_new != reg:
                         entered = t_new
-            else:
+        else:
+            flow, lam, jump, kind = steps[reg]
+            if t < horizon:     # as on the _event route, nothing is drawn at the horizon
                 if k == BLOCK:
                     xis, k = rng.exponential(size=BLOCK).tolist(), 0
                 xi = xis[k]
@@ -367,10 +367,10 @@ def _path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator, horizon:
                         raise InvalidParam(f"jump kernel returned regime {reg_new}, not in "
                                            f"[0, {k_regimes})")
                     t_new = t + tau
-            if t_new is not None:
-                if n == jump_budget:
-                    raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
-                n += 1
+        if t_new is not None:
+            if n == jump_budget:
+                raise JumpBudgetExceeded(f"more than {jump_budget} jumps before horizon")
+            n += 1
         if reads is None:
             if t_new is None:
                 return

@@ -430,10 +430,10 @@ class TestExport:
 
     def test_no_trajectories_rejected(self, tmp_path):
         # the snapshot export used to raise a bare IndexError
-        for export in (trajectories_to_csv, lambda trajs, path: trajectory_snapshots_to_csv(
-                trajs, [0.0, 1.0], path)):
-            with pytest.raises(InvalidParam, match="at least one trajectory"):
-                export([], tmp_path / "out.csv")
+        with pytest.raises(InvalidParam, match="at least one trajectory"):
+            trajectory_snapshots_to_csv([], [0.0, 1.0], tmp_path / "snaps.csv")
+        with pytest.raises(InvalidParam, match="at least one trajectory"):
+            trajectories_to_csv([], tmp_path / "traj.csv")
 
 
 class TestValidation:
