@@ -28,6 +28,7 @@ from pdmpkit import (
     SteinParams,
     TupleFn,
     TupleMap,
+    iter_events,
     make_birth_switch,
     make_cell_cycle,
     make_gene_expression,
@@ -36,7 +37,6 @@ from pdmpkit import (
     make_telegraph,
     occupation_samples,
     path_rng,
-    iter_events,
     simulate_ensemble,
     simulate_trajectory,
 )
@@ -104,8 +104,9 @@ def jump_times(model, x0, regime0, horizon, seed=11):
 def recorded(model, x0, regime0, horizon, seed=11):
     """Every recorded jump with its states as float64 bytes."""
     traj = simulate_trajectory(model, x0, regime0, horizon, path_rng(seed, 0))
-    return [(j.t, j.kind, j.regime_pre, j.regime_post, np.asarray(j.state_pre, dtype=float)
-             .tobytes(), np.asarray(j.state_post, dtype=float).tobytes()) for j in traj.jumps]
+    return [(j.t, j.kind, j.regime_pre, j.regime_post,
+             np.asarray(j.state_pre, dtype=float).tobytes(),
+             np.asarray(j.state_post, dtype=float).tobytes()) for j in traj.jumps]
 
 
 @pytest.mark.parametrize("name", list(CASES))
