@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from operator import mul, sub, truediv
+from operator import sub, truediv
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -157,9 +157,8 @@ def _state(x0, dim: int) -> tuple:
     return tuple(x.tolist())
 
 
-# Dormand & Prince (1980) 5(4): error weights, and per stage scipy RK45's
-# quartic dense output (the stage rows are written out in _dp_step)
-_DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# Dormand & Prince (1980) 5(4): per stage scipy RK45's quartic dense output; the
+# stage rows and error weights are written out, summed from 0.0 left to right
 _DP_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
          (0, 0, 0, 0),
          (0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
@@ -200,8 +199,10 @@ class _Step(namedtuple("_Step", "f t0 t1 y0 y1 ks")):
         """The step's quartic interpolant at t."""
         h = self.t1 - self.t0
         x = (t - self.t0) / h
-        w = [h * x * (a + x * (b + x * (c + x * d))) for a, b, c, d in _DP_P]
-        return [v + sum(map(mul, col, w)) for v, col in zip(self.y0, zip(*self.ks))]
+        w1, w2, w3, w4, w5, w6, w7 = [h * x * (a + x * (b + x * (c + x * d)))
+                                      for a, b, c, d in _DP_P]
+        return [v + (0.0 + a * w1 + b * w2 + c * w3 + d * w4 + e * w5 + g * w6 + q * w7)
+                for v, a, b, c, d, e, g, q in zip(self.y0, *self.ks)]
 
     def crossing(self, g) -> float:
         """Where g(y) reaches 0: the root on the interpolant, as scipy's events
@@ -236,7 +237,9 @@ def _dopri(f, y: list, t_end: float, caller: str):
                 raise NonFinite(f"{caller} failed: step size fell below 10 ulp of t={t:.6g}")
             t_new = min(t + h_abs, t_end)
             y_new, ks = _dp_step(f, y, k, t_new - t)
-            err = _rms([sum(map(mul, col, _DP_E)) * (t_new - t) for col in zip(*ks)],
+            err = _rms([(0.0 + a * (-71 / 57600) + b * 0 + c * (71 / 16695) + d * (-71 / 1920)
+                         + e * (17253 / 339200) + g * (-22 / 525) + q * (1 / 40)) * (t_new - t)
+                        for a, b, c, d, e, g, q in zip(*ks)],
                        [ATOL_FLOW + max(abs(u), abs(v)) * TOL_FLOW for u, v in zip(y, y_new)])
             factor = 10.0 if err == 0.0 else 0.9 * err ** -0.2
             if err < 1.0:
@@ -452,7 +455,7 @@ def sample_jump_time(flow: Flow, hz: Hazard, x0, rng: np.random.Generator,
     Raises :class:`HorizonExceeded` when the hazard never accumulates enough
     mass before ``horizon`` (including rate-zero traps).
     """
-    if horizon <= 0:
+    if not horizon > 0:     # NaN fails too
         raise InvalidParam("sampling horizon must be positive")
     x = _state(x0, flow.dim)
     xi = rng.exponential()
@@ -508,8 +511,10 @@ def boundary_hit_time(flow: Flow, event_fn: Callable[[Array], float], x0,
     root-finding; otherwise its sign is tested at each integrator step's end
     and the crossing is found in that step (:meth:`_Step.crossing`).
     """
-    if t_max <= 0:
-        return None
+    if not t_max > 0:
+        if t_max <= 0:
+            return None
+        raise InvalidParam("t_max must not be NaN")
     x = _state(x0, flow.dim)
     event = tuple_form(event_fn, float)
     closed = flow.tuple_closed

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import EmptySample, GridMismatch, InvalidParam
 from .flows import flow_evolve  # unused; the benchmark tracer patches this binding
-from .process import PdmpModel, read_path
+from .process import DEFAULT_JUMP_BUDGET, PdmpModel, _path
 from .transport import DensityGrid, Grid1D
 
 Array = np.ndarray
@@ -192,7 +192,7 @@ def occupation_samples(model: PdmpModel, x0, regime0: int, horizon: float,
 
     xs: list = []
     regs: list = []
-    for x, reg in read_path(model, x0, regime0, rng, horizon, ticks()):
+    for x, reg in _path(model, x0, regime0, rng, horizon, DEFAULT_JUMP_BUDGET, ticks()):
         xs.append(float(x[0]))
         regs.append(reg)
     if not xs:

@@ -132,7 +132,7 @@ class GrowthDivision:
         return Flow(dim=2, rhs=TupleFn(lambda s: (g(s[0]), y_speed)), closed_form=closed)
 
 
-def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params: dict,
+def _switching_model(name: str, fields: SwitchingFields, q_specs, labels,
                      closed_forms=(None, None), bound_grid: Optional[Array] = None
                      ) -> PdmpModel:
     """Event model of a switching view; the raw rate specs keep constants on
@@ -144,7 +144,7 @@ def _switching_model(name: str, fields: SwitchingFields, q_specs, labels, params
                hazards=(HazardChannel(_state_hazard(q, bound_grid=bound_grid),
                                       JumpKernel(kernel), label),))
         for i, (q, kernel, label) in enumerate(zip(q_specs, (to1, to0), labels)))
-    return PdmpModel(name, regimes, params)
+    return PdmpModel(name, regimes)
 
 
 _TAIL_OCTAVES = 18
@@ -188,7 +188,7 @@ def make_grasshopper(lam: float, jump_sampler: Callable[[np.random.Generator], f
 
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(lam),
                                                     JumpKernel(TupleFn(kernel)), "jump"),))
-    return PdmpModel("grasshopper", (regime,), {"lam": lam, "dim": dim})
+    return PdmpModel("grasshopper", (regime,))
 
 
 def telegraph_fields(lam: float, c: float) -> SwitchingFields:
@@ -210,7 +210,7 @@ def make_telegraph(lam: float, c: float) -> PdmpModel:
     flip = TupleMap(lambda s, regime: ((s[0], -s[1]), 0))
     regime = Regime(0, flow, hazards=(HazardChannel(Hazard.constant(lam),
                                                     JumpKernel(flip), "flip"),))
-    return PdmpModel("telegraph", (regime,), {"lam": lam, "c": c})
+    return PdmpModel("telegraph", (regime,))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     clock = DeterministicClock(BoundaryHit(TupleFn(lambda s: 2.0 * m - s[0])),
                                JumpKernel(TupleMap(lambda s, regime: (born, 0))), "division")
     regime = Regime(0, flow, clocks=(clock,))
-    return PdmpModel("rubinow", (regime,), {"g": g, "m": m})
+    return PdmpModel("rubinow", (regime,))
 
 
 def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
@@ -262,7 +262,7 @@ def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
         divide = TupleFn(lambda s, regime, rng: ((s[0] * 0.5,), 0))
         regime = Regime(0, p.flow(), hazards=(HazardChannel(hazard, JumpKernel(divide),
                                                             "division"),))
-        return PdmpModel("cell_cycle_1p", (regime,), {"g": p.g, "phi": p.phi})
+        return PdmpModel("cell_cycle_1p", (regime,))
 
     enter_b = TupleMap(lambda s, regime: ((s[0], 0.0), 1))
     divide_b = TupleMap(lambda s, regime: ((0.5 * s[0], 0.0), 0))
@@ -271,8 +271,7 @@ def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
     regime_b = Regime(1, p.flow(1.0),
                       clocks=(DeterministicClock(FixedDelay(p.t_B), JumpKernel(divide_b),
                                                  "division"),))
-    return PdmpModel("cell_cycle_2p", (regime_a, regime_b),
-                     {"g": p.g, "phi": p.phi, "t_B": p.t_B})
+    return PdmpModel("cell_cycle_2p", (regime_a, regime_b))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,6 @@ def make_gene_expression(p: GeneExpressionParams) -> PdmpModel:
               TupleFn(lambda t, s: (a + (s[0] - a) * math.exp(-mu * t),)))
     return _switching_model("gene_expression", p.fields(), (p.q0, p.q1),
                             ("activate", "deactivate"),
-                            {"P": p.P, "mu": mu, "q0": p.q0, "q1": p.q1, "x_max": a},
                             closed_forms=closed, bound_grid=np.linspace(0.0, a, 2049))
 
 
@@ -388,10 +386,7 @@ def make_stein(p: SteinParams) -> PdmpModel:
     regime_ref = Regime(1, flow_ref,
                         clocks=(DeterministicClock(FixedDelay(p.t_R), JumpKernel(TupleMap(
                             lambda s, regime: ((0.0, 0.0), 0))), "refractory_end"),))
-    return PdmpModel("stein", (regime_sub, regime_ref), {
-        "alpha": p.alpha, "a_E": p.a_E, "a_I": p.a_I, "lambda_E": p.lambda_E,
-        "lambda_I": p.lambda_I, "theta": p.theta, "t_R": p.t_R,
-    })
+    return PdmpModel("stein", (regime_sub, regime_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +441,8 @@ def allee_interior_roots(p: AlleeParams) -> tuple:
 
 def make_allee(p: AlleeParams) -> PdmpModel:
     """Switching between plain logistic growth and growth with an Allee effect."""
-    x1, x2 = allee_interior_roots(p)
-    return _switching_model("allee", p.fields(), (p.q01, p.q10), ("switch", "switch"), {
-        "lam": p.lam, "K": p.K, "A": p.A, "B": p.B, "q01": p.q01, "q10": p.q10,
-        "x1": x1, "x2": x2,
-    })
+    allee_interior_roots(p)     # raises NoInteriorRoots without the root pair
+    return _switching_model("allee", p.fields(), (p.q01, p.q10), ("switch", "switch"))
 
 
 @dataclass(frozen=True)
@@ -510,10 +502,8 @@ def make_birth_switch(p: BirthSwitchParams) -> PdmpModel:
     supercritical logistic law; the attracting interval is (0, a], a=(b1-mu)/c."""
     pi0, pi1 = (_logistic_closed_form(b - p.mu, p.c) for b in (p.b0, p.b1))
     closed = (TupleFn(lambda t, s: (pi0(t, s[0]),)), TupleFn(lambda t, s: (pi1(t, s[0]),)))
-    return _switching_model("birth_switch", p.fields(), (p.q0, p.q1), ("switch", "switch"), {
-        "b0": p.b0, "b1": p.b1, "c": p.c, "mu": p.mu, "q0": p.q0, "q1": p.q1,
-        "a": p.attractor_end,
-    }, closed_forms=closed)
+    return _switching_model("birth_switch", p.fields(), (p.q0, p.q1), ("switch", "switch"),
+                            closed_forms=closed)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,8 @@ class Regime:
     absorbing: bool = False
     domain: Optional[Callable[[Array], bool]] = None
     tuple_domain: Optional[Callable] = field(init=False, default=None, repr=False, compare=False)
-    # the regime's one jump cause when it has one hazard and no clock
-    sole_hazard: Optional[HazardChannel] = field(init=False, default=None, repr=False,
-                                                 compare=False)
-    # (tuple flow fn, rate, jump map fn, label) when that hazard has a constant
-    # rate, the regime no domain, the flow's closed form a TupleFn and the kernel a TupleMap
+    # (tuple flow fn, rate, jump map fn, label) when the regime has one hazard, of
+    # constant rate, no clock, no domain, a TupleFn closed-form flow and a TupleMap kernel
     float_step: Optional[tuple] = field(init=False, default=None, repr=False,
                                         compare=False)
 
@@ -149,7 +146,6 @@ class Regime:
             object.__setattr__(self, "tuple_domain", tuple_form(self.domain, bool))
         if len(self.hazards) == 1 and not self.clocks:
             ch = self.hazards[0]
-            object.__setattr__(self, "sole_hazard", ch)
             closed, jump = self.flow.closed_form, ch.kernel.sampler
             if (ch.hazard.const_rate is not None and self.domain is None
                     and isinstance(closed, TupleFn) and isinstance(jump, TupleMap)):
@@ -163,12 +159,11 @@ class Regime:
 
 @dataclass(frozen=True)
 class PdmpModel:
-    """Immutable process description: regimes, shared dimension, parameters;
+    """Immutable process description: named regimes of one state dimension;
     ``float_steps`` holds every regime's ``float_step`` when none is None."""
 
     name: str
     regimes: Tuple[Regime, ...]
-    params: dict = field(default_factory=dict)
     float_steps: Optional[tuple] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,12 +193,6 @@ class EventResult(NamedTuple):
     regime_post: int
 
 
-class Segment(NamedTuple):
-    t_start: float
-    regime: int
-    state: tuple
-
-
 class JumpRecord(NamedTuple):
     t: float
     kind: str
@@ -215,29 +204,23 @@ class JumpRecord(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """One realized path: deterministic segments separated by recorded jumps."""
+    """One realized path: its start and its recorded jumps (tuple states)."""
 
     model: PdmpModel
-    segments: list
+    x0: tuple
+    regime0: int
     jumps: list
     horizon: float
 
     def state_at(self, t: float) -> Tuple[Array, int]:
-        """State and regime at time t, reconstructed by flowing within a segment."""
+        """State and regime at time t, flowed from the last jump at or before t
+        (so a read at a jump time sees the post-jump state), or from the start."""
         if not 0.0 <= t <= self.horizon:
             raise InvalidParam(f"t={t} outside [0, horizon]")
-        i = bisect_right(self.segments, t, key=attrgetter("t_start")) - 1
-        seg = self.segments[i]
-        flow = self.model.regimes[seg.regime].flow
-        return flow_evolve(flow, seg.state, t - seg.t_start), seg.regime
-
-
-def _regime(model: PdmpModel, regime) -> int:
-    """``regime`` as an index of the model's regimes."""
-    r, k = int(regime), len(model.regimes)
-    if not 0 <= r < k:
-        raise InvalidParam(f"regime {r} is not in [0, {k})")
-    return r
+        i = bisect_right(self.jumps, t, key=attrgetter("t"))
+        j = self.jumps[i - 1] if i else None
+        t0, reg, x = (j.t, j.regime_post, j.state_post) if j else (0.0, self.regime0, self.x0)
+        return flow_evolve(self.model.regimes[reg].flow, x, t - t0), reg
 
 
 def _count(name: str, value, least: int) -> int:
@@ -247,44 +230,39 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _regime(model: PdmpModel, regime) -> int:
+    """``regime`` as an index of the model's regimes, typed as :func:`_count` types it."""
+    if _count("regime", regime, 0) >= len(model.regimes):
+        raise InvalidParam(f"regime {regime} is not in [0, {len(model.regimes)})")
+    return int(regime)
+
+
 def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
            t_max: float, elapsed_in_regime: float) -> Optional[tuple]:
     """:func:`next_event` for ``t_max > 0`` and a state of the model's length,
     as a plain ``(dt, kind, state_pre, state_post, regime_post)`` of tuple states."""
     reg = model.regimes[regime]
-    ch = reg.sole_hazard
-    if ch is not None:
+    # clocks, then hazards capped at the earliest clock, each in index order: a
+    # strict < keeps the first of equal times (dt is t_max until a cause is
+    # found), so clocks beat hazards and lower indices beat higher
+    dt, kernel = t_max, None
+    for clock in reg.clocks:
+        if isinstance(clock.kind, FixedDelay):
+            t = max(clock.kind.duration - elapsed_in_regime, 0.0)
+        else:
+            t = boundary_hit_time(reg.flow, clock.kind.tuple_event, x, t_max)
+        if t is not None and (t < dt or kernel is None and t == dt):
+            dt, kernel, label = t, clock.target, clock.label
+    hz_cap = dt
+    for ch in reg.hazards:
         try:
-            dt = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=t_max)
+            t = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=hz_cap)
         except HorizonExceeded:
-            return None
-        kernel, label = ch.kernel, ch.label
-    else:
-        best = None     # (dt, rank, channel index, kernel, label); clocks rank 0
-        for ci, clock in enumerate(reg.clocks):
-            if isinstance(clock.kind, FixedDelay):
-                dt = max(clock.kind.duration - elapsed_in_regime, 0.0)
-                if dt > t_max:
-                    continue
-            else:
-                dt = boundary_hit_time(reg.flow, clock.kind.tuple_event, x, t_max)
-                if dt is None:
-                    continue
-            cand = (dt, 0, ci, clock.target, clock.label)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-        hz_cap = min(t_max, best[0]) if best is not None else t_max
-        for hi, ch in enumerate(reg.hazards):
-            try:
-                dt = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=hz_cap)
-            except HorizonExceeded:
-                continue
-            cand = (dt, 1, hi, ch.kernel, ch.label)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-        if best is None:
-            return None
-        dt, _, _, kernel, label = best
+            continue
+        if t < dt or kernel is None:
+            dt, kernel, label = t, ch.kernel, ch.label
+    if kernel is None:
+        return None
     x_pre = evolve(reg.flow, x, dt)
     x_post, reg_post, kind = kernel.apply(x_pre, regime, rng)
     if not 0 <= reg_post < len(model.regimes):
@@ -302,10 +280,13 @@ def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *
 
     Returns None when nothing fires before ``t_max`` (the caller truncates the
     segment there).  Fixed-delay clocks measure time since the regime was
-    entered, hence ``elapsed_in_regime``.  The states come back as 1-D float64
-    arrays.
+    entered, hence ``elapsed_in_regime``, a finite time >= 0.  The states come
+    back as 1-D float64 arrays.
     """
     regime = _regime(model, regime)
+    if not 0.0 <= elapsed_in_regime < math.inf or math.isnan(t_max):
+        raise InvalidParam(f"need a finite elapsed_in_regime >= 0 and a t_max that is "
+                           f"not NaN, got {elapsed_in_regime!r} and {t_max!r}")
     if t_max <= 0:
         return None
     ev = _event(model, _state(state, model.dim), regime, rng, t_max, elapsed_in_regime)
@@ -417,14 +398,11 @@ def read_path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator,
 def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
                         rng: np.random.Generator,
                         jump_budget: int = DEFAULT_JUMP_BUDGET) -> Trajectory:
-    """Run the process to the horizon, recording every segment and jump (tuple states)."""
-    x = _state(x0, model.dim)
-    segments = [Segment(0.0, int(regime0), x)]
-    jumps = []
-    for t, kind, r0, r1, pre, post, _ in _path(model, x, regime0, rng, horizon, jump_budget):
-        jumps.append(JumpRecord(t, kind, r0, r1, pre, post))
-        segments.append(Segment(t, r1, post))
-    return Trajectory(model=model, segments=segments, jumps=jumps, horizon=horizon)
+    """Run the process to the horizon, recording its start and every jump (tuple states)."""
+    x, r = _state(x0, model.dim), _regime(model, regime0)
+    jumps = [JumpRecord(t, kind, r0, r1, pre, post)
+             for t, kind, r0, r1, pre, post, _ in _path(model, x, r, rng, horizon, jump_budget)]
+    return Trajectory(model, x, r, jumps, horizon)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)

@@ -368,7 +368,7 @@ class TestBuildModel:
         cfg = {"name": "cell_cycle_2p", "g": "x", "phi": "0.9 * x", "t_B": 0.5,
                "g_closed_form": "x0 * exp(t)"}
         model, view = build_model(cfg), model_view(cfg)
-        assert model.params["t_B"] == view.t_B == 0.5
+        assert model.regimes[1].clocks[0].kind.duration == view.t_B == 0.5
         state = model.regimes[0].flow.tuple_closed(0.7, (1.3, 0.0))
         assert state[0] == view.g_closed_form(0.7, 1.3) == 1.3 * math.exp(0.7)
 

@@ -72,7 +72,7 @@ def engine_twin(model: PdmpModel) -> PdmpModel:
             for ch in regime.hazards)
         return dataclasses.replace(regime, flow=flow, hazards=hazards)
 
-    twin = PdmpModel(model.name, tuple(plain(r) for r in model.regimes), model.params)
+    twin = PdmpModel(model.name, tuple(plain(r) for r in model.regimes))
     assert all(r.float_step is None for r in twin.regimes) and twin.float_steps is None
     return twin
 

@@ -24,11 +24,13 @@ see the digests of the current code run ``python tests/test_golden.py``.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pdmpkit import flows
 from pdmpkit.cli import run
 from pdmpkit.config import load_config
 from pdmpkit.transport import (
@@ -372,6 +374,24 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", CASES)
 def test_artifact_digests(case, tmp_path):
+    assert run_case(case, tmp_path) == GOLDEN[case]
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, the way CPython 3.12's ``sum`` adds floats."""
+    total, comp = start, 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.mark.parametrize("case", ["config:demo_population", "recorded:rubinow_ode",
+                                  "recorded:allee", "recorded:cell_cycle_1p_ode"])
+def test_digests_do_not_depend_on_the_interpreters_float_sum(case, tmp_path, monkeypatch):
+    # the Dormand-Prince stepper adds its stage products itself, left to right
+    monkeypatch.setattr(flows, "sum", _compensated_sum, raising=False)
     assert run_case(case, tmp_path) == GOLDEN[case]
 
 

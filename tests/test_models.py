@@ -16,6 +16,7 @@ from pdmpkit import (
     SteinParams,
 )
 from pdmpkit.errors import InvalidParam, PopulationBlowup
+from pdmpkit.models import allee_interior_roots
 
 
 class TestParamValidation:
@@ -382,7 +383,7 @@ class TestAllee:
 
     def test_frozen_flows_limits(self):
         model = pk.make_allee(self.params())
-        x1, x2 = model.params["x1"], model.params["x2"]
+        x1, x2 = allee_interior_roots(self.params())
         f0, f1 = model.regimes[0].flow, model.regimes[1].flow
         assert pk.flow_evolve(f0, [0.5], 80.0)[0] == pytest.approx(10.0, abs=1e-6)
         assert pk.flow_evolve(f1, [1.2 * x1], 120.0)[0] == pytest.approx(x2, abs=1e-6)
@@ -390,7 +391,7 @@ class TestAllee:
 
     def test_attractor_interval_invariant(self):
         model = pk.make_allee(self.params())
-        x1, x2 = model.params["x1"], model.params["x2"]
+        x1, x2 = allee_interior_roots(self.params())
         K = 10.0
         # sign structure at the interval ends keeps [x2, K] invariant
         g0 = model.regimes[0].flow
@@ -410,7 +411,7 @@ class TestBirthSwitch:
         model = pk.make_birth_switch(self.params())
         g0 = model.regimes[0].flow
         g1 = model.regimes[1].flow
-        a = model.params["a"]
+        a = self.params().attractor_end
         for x in np.linspace(0.01, 3.0, 50):
             assert g0.tuple_rhs((x,))[0] < 0.0
         assert abs(g1.tuple_rhs((a,))[0]) < 1e-12
@@ -419,7 +420,7 @@ class TestBirthSwitch:
 
     def test_attractor_interval_stays(self):
         model = pk.make_birth_switch(self.params())
-        a = model.params["a"]
+        a = self.params().attractor_end
         traj = pk.simulate_trajectory(model, [0.4 * a], 0, 300.0, pk.path_rng(52, 0))
         for j in traj.jumps:
             assert 0.0 < j.state_pre[0] <= a + 1e-9

@@ -157,10 +157,23 @@ class TestTrajectories:
     def test_segment_consistency(self):
         model = make_telegraph(1.2, 0.7)
         traj = simulate_trajectory(model, [0.0, 0.7], 0, 40.0, path_rng(18, 0))
-        for seg, jump in zip(traj.segments, traj.jumps):
-            flow = model.regimes[seg.regime].flow
-            replay = flow_evolve(flow, seg.state, jump.t - seg.t_start)
+        t, regime, state = 0.0, traj.regime0, traj.x0
+        for jump in traj.jumps:
+            assert jump.regime_pre == regime
+            replay = flow_evolve(model.regimes[regime].flow, state, jump.t - t)
             assert np.max(np.abs(replay - jump.state_pre)) <= 10 * TOL_FLOW
+            t, regime, state = jump.t, jump.regime_post, jump.state_post
+
+    def test_state_before_the_first_jump_flows_from_the_start(self):
+        model = make_telegraph(1.2, 0.7)
+        traj = simulate_trajectory(model, np.array([0.25, 0.7]), 0, 40.0, path_rng(18, 0))
+        assert (traj.x0, traj.regime0) == ((0.25, 0.7), 0)
+        t1 = traj.jumps[0].t
+        for t in (0.0, math.nextafter(t1, 0.0)):
+            state, reg = traj.state_at(t)
+            assert reg == 0
+            assert np.array_equal(state, flow_evolve(model.regimes[0].flow, [0.25, 0.7], t))
+        assert traj.state_at(t1)[0].tolist() == list(traj.jumps[0].state_post)
 
     def test_gene_interval_invariance(self):
         p = GeneExpressionParams(P=1.0, mu=1.0, q0=1.0, q1=1.0)
@@ -504,6 +517,60 @@ class TestValidation:
         assert [i for i, _ in ens.errors] == [0, 1]
         assert all(isinstance(e, InvalidParam) for _, e in ens.errors)
         assert (ens.snapshot_regimes == -1).all() and (ens.final_regimes == -1).all()
+
+    @pytest.mark.parametrize("regime", [0.5, 1.7, True, "a", None])
+    @pytest.mark.parametrize("float_step", [True, False])
+    def test_start_regime_must_be_an_int(self, regime, float_step):
+        # 0.5 used to run regime 0, True regime 1, and "a" raised a bare ValueError
+        model = make_gene_expression(GeneExpressionParams(
+            P=1.0, mu=1.0, q0=1.0 if float_step else lambda x: 1.0, q1=1.0))
+        with pytest.raises(InvalidParam, match="regime"):
+            simulate_trajectory(model, [0.5], regime, 1.0, path_rng(1, 0))
+        with pytest.raises(InvalidParam, match="regime"):
+            next_event(model, [0.5], regime, path_rng(1, 0), t_max=1.0)
+        with pytest.raises(InvalidParam, match="regime"):
+            next(iter_events(model, [0.5], regime, path_rng(1, 0), 1.0))
+        with pytest.raises(InvalidParam, match="regime"):
+            next(read_path(model, [0.5], regime, path_rng(1, 0), 1.0, [0.5]))
+        ens = simulate_ensemble(model, lambda rng: ([0.5], regime), 1.0, 2, 1)
+        assert [i for i, _ in ens.errors] == [0, 1]
+        assert all(isinstance(e, InvalidParam) for _, e in ens.errors)
+
+    def test_numpy_integer_start_regime_accepted(self):
+        model = make_telegraph(1.0, 1.0)
+        traj = simulate_trajectory(model, [0.0, 1.0], np.int64(0), 5.0, path_rng(1, 0))
+        assert type(traj.regime0) is int
+        assert traj.jumps == simulate_trajectory(model, [0.0, 1.0], 0, 5.0,
+                                                 path_rng(1, 0)).jumps
+        assert next_event(model, [0.0, 1.0], np.int64(0), path_rng(1, 0), t_max=5.0)
+        assert next(iter_events(model, [0.0, 1.0], np.int64(0), path_rng(1, 0), 5.0))
+        assert next(read_path(model, [0.0, 1.0], np.int64(0), path_rng(1, 0), 5.0, [1.0]))
+        assert not simulate_ensemble(model, lambda rng: ([0.0, 1.0], np.int64(0)),
+                                     5.0, 2, 1).errors
+
+    @pytest.mark.parametrize("case", ["sample_jump_time_nan_horizon", "next_event_nan_t_max",
+                                      "boundary_hit_time_nan_t_max", "elapsed_negative",
+                                      "elapsed_nan", "elapsed_inf"])
+    def test_nan_caps_and_bad_elapsed_times_rejected(self, case):
+        # a NaN cap used to draw an event (or, for a boundary hit, report no
+        # crossing), and elapsed_in_regime=-1 fired a 0.5 delay at dt 1.5
+        rng = path_rng(1, 0)
+        line = Flow(dim=1, rhs=lambda x: np.ones(1), closed_form=TupleFn(lambda t, s: (s[0] + t,)))
+        cell_cycle = make_cell_cycle(GrowthDivision(g=lambda x: x, phi=1.0, t_B=0.5,
+                                                    g_closed_form=lambda t, x: x * math.exp(t)))
+        elapsed = {"elapsed_negative": -1.0, "elapsed_nan": math.nan, "elapsed_inf": math.inf}
+        calls = {
+            "sample_jump_time_nan_horizon": lambda: pdmpkit.sample_jump_time(
+                line, Hazard.constant(1.0), [0.0], rng, horizon=math.nan),
+            "next_event_nan_t_max": lambda: next_event(
+                make_telegraph(1.0, 1.0), [0.0, 1.0], 0, rng, t_max=math.nan),
+            "boundary_hit_time_nan_t_max": lambda: pdmpkit.boundary_hit_time(
+                line, TupleFn(lambda s: 1.0 - s[0]), [0.0], math.nan),
+        }
+        call = calls.get(case) or (lambda: next_event(
+            cell_cycle, [1.0, 0.0], 1, rng, t_max=5.0, elapsed_in_regime=elapsed[case]))
+        with pytest.raises(InvalidParam):
+            call()
 
     @pytest.mark.parametrize("regime", [-1, 2])
     @pytest.mark.parametrize("float_form", [True, False])
