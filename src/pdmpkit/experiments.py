@@ -201,8 +201,7 @@ def two_phase_recursion(cfg: dict) -> dict:
     start = np.array([x0, 0.0])
     for i in range(n):
         ev1 = next_event(model, start, 0, rng, t_max=math.inf)
-        ev2 = next_event(model, ev1.state_post, 1, rng, t_max=math.inf,
-                         elapsed_in_regime=0.0)
+        ev2 = next_event(model, ev1.state_post, 1, rng, t_max=math.inf)
         if ev1.kind != "phase_b_entry" or ev2.kind != "division":
             raise InvalidParam("unexpected event order in the two-phase generation")
         full[i] = ev2.state_post[0]

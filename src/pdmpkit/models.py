@@ -235,12 +235,9 @@ def _validate_growth_division(g, phi) -> None:
 def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
     """Deterministic cycle: grow from size m, split back to m on reaching 2m."""
     _require(m > 0, "m > 0")
-    g_fn = _scalar_fn(g)
-    _check_positive_on(g_fn, np.linspace(m, 2.0 * m, 33), "g > 0 on [m, 2m]")
-    closed = None
-    if g_closed_form is not None:
-        closed = TupleFn(lambda t, s: (float(g_closed_form(t, s[0])),))
-    flow = Flow(dim=1, rhs=TupleFn(lambda s: (g_fn(s[0]),)), closed_form=closed)
+    growth = GrowthDivision(g, 0.0, g_closed_form=g_closed_form)
+    _check_positive_on(growth.g, np.linspace(m, 2.0 * m, 33), "g > 0 on [m, 2m]")
+    flow = growth.flow()
     born = (float(m),)
     clock = DeterministicClock(BoundaryHit(TupleFn(lambda s: 2.0 * m - s[0])),
                                JumpKernel(TupleMap(lambda s, regime: (born, 0))), "division")
@@ -251,8 +248,8 @@ def make_rubinow(g: RateLike, m: float, g_closed_form=None) -> PdmpModel:
 def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
     """One phase (t_B None): division at intensity phi(x) into a size-x/2
     daughter.  Two phases, state (x, y): resting phase A grows until phi
-    fires, then a fixed t_B in phase B before division halves x; y tracks
-    time since phase-B entry."""
+    fires, then a fixed t_B in phase B before division halves x; y, the age
+    the phase-B clock reads, tracks time since phase-B entry."""
     _require(p.t_B is None or p.t_B > 0, "t_B > 0")
     _validate_growth_division(p.g, p.phi_fn)
     hazard = _state_hazard(p.phi)
@@ -268,9 +265,8 @@ def make_cell_cycle(p: GrowthDivision) -> PdmpModel:
     divide_b = TupleMap(lambda s, regime: ((0.5 * s[0], 0.0), 0))
     regime_a = Regime(0, p.flow(0.0),
                       hazards=(HazardChannel(hazard, JumpKernel(enter_b), "phase_b_entry"),))
-    regime_b = Regime(1, p.flow(1.0),
-                      clocks=(DeterministicClock(FixedDelay(p.t_B), JumpKernel(divide_b),
-                                                 "division"),))
+    regime_b = Regime(1, p.flow(1.0), clocks=(DeterministicClock(
+        FixedDelay(p.t_B, coord=1), JumpKernel(divide_b), "division"),))
     return PdmpModel("cell_cycle_2p", (regime_a, regime_b))
 
 
@@ -360,7 +356,7 @@ def make_stein(p: SteinParams) -> PdmpModel:
     A single synaptic hazard at rate lambda_E + lambda_I drives three cases:
     excitation below threshold adds a_E, excitation from V >= theta - a_E
     fires (reset to (0, 0) and enter the refractory phase), inhibition
-    subtracts a_I.  The refractory phase lasts exactly t_R.
+    subtracts a_I.  The refractory phase lasts exactly t_R, read off its age y.
     """
     lam = p.lambda_E + p.lambda_I
     flow_sub = Flow(dim=2,
@@ -383,9 +379,9 @@ def make_stein(p: SteinParams) -> PdmpModel:
                         hazards=(HazardChannel(Hazard.constant(lam), JumpKernel(TupleFn(synapse)),
                                                "synapse"),),
                         domain=TupleFn(lambda s: s[0] < p.theta))
-    regime_ref = Regime(1, flow_ref,
-                        clocks=(DeterministicClock(FixedDelay(p.t_R), JumpKernel(TupleMap(
-                            lambda s, regime: ((0.0, 0.0), 0))), "refractory_end"),))
+    regime_ref = Regime(1, flow_ref, clocks=(DeterministicClock(
+        FixedDelay(p.t_R, coord=1), JumpKernel(TupleMap(lambda s, regime: ((0.0, 0.0), 0))),
+        "refractory_end"),))
     return PdmpModel("stein", (regime_sub, regime_ref))
 
 

@@ -81,9 +81,12 @@ class JumpKernel:
 
 @dataclass(frozen=True)
 class FixedDelay:
-    """Clock that fires a fixed duration after the regime was entered."""
+    """Clock that fires when the age ``s[coord]`` reaches ``duration``: at dt
+    ``max(duration - s[coord], 0)``.  Contract, not checked: the regime's flow
+    moves ``s[coord]`` at unit speed, and the kernel entering the regime sets it."""
 
     duration: float
+    coord: int
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -142,6 +145,9 @@ class Regime:
             h if isinstance(h, HazardChannel) else HazardChannel(*h) for h in self.hazards
         ))
         object.__setattr__(self, "clocks", tuple(self.clocks))
+        for c in self.clocks:
+            if isinstance(c.kind, FixedDelay):
+                _index("FixedDelay coord", c.kind.coord, self.flow.dim)
         if self.domain is not None:
             object.__setattr__(self, "tuple_domain", tuple_form(self.domain, bool))
         if len(self.hazards) == 1 and not self.clocks:
@@ -230,31 +236,32 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _regime(model: PdmpModel, regime) -> int:
-    """``regime`` as an index of the model's regimes, typed as :func:`_count` types it."""
-    if _count("regime", regime, 0) >= len(model.regimes):
-        raise InvalidParam(f"regime {regime} is not in [0, {len(model.regimes)})")
-    return int(regime)
+def _index(name: str, value, n: int) -> int:
+    """``value`` as an index in [0, n), typed as :func:`_count` types it."""
+    if _count(name, value, 0) >= n:
+        raise InvalidParam(f"{name} {value} is not in [0, {n})")
+    return int(value)
 
 
 def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
-           t_max: float, elapsed_in_regime: float) -> Optional[tuple]:
+           t_max: float) -> Optional[tuple]:
     """:func:`next_event` for ``t_max > 0`` and a state of the model's length,
     as a plain ``(dt, kind, state_pre, state_post, regime_post)`` of tuple states."""
     reg = model.regimes[regime]
     # clocks, then hazards capped at the earliest clock, each in index order: a
     # strict < keeps the first of equal times (dt is t_max until a cause is
-    # found), so clocks beat hazards and lower indices beat higher
+    # found), so clocks beat hazards and lower indices beat higher; a clock due
+    # now wins before any hazard is drawn
     dt, kernel = t_max, None
     for clock in reg.clocks:
         if isinstance(clock.kind, FixedDelay):
-            t = max(clock.kind.duration - elapsed_in_regime, 0.0)
+            t = max(clock.kind.duration - x[clock.kind.coord], 0.0)
         else:
             t = boundary_hit_time(reg.flow, clock.kind.tuple_event, x, t_max)
         if t is not None and (t < dt or kernel is None and t == dt):
             dt, kernel, label = t, clock.target, clock.label
     hz_cap = dt
-    for ch in reg.hazards:
+    for ch in reg.hazards if hz_cap > 0 else ():
         try:
             t = sample_jump_time(reg.flow, ch.hazard, x, rng, horizon=hz_cap)
         except HorizonExceeded:
@@ -275,21 +282,18 @@ def _event(model: PdmpModel, x: tuple, regime: int, rng: np.random.Generator,
 
 
 def next_event(model: PdmpModel, state, regime: int, rng: np.random.Generator, *,
-               t_max: float, elapsed_in_regime: float = 0.0) -> Optional[EventResult]:
+               t_max: float) -> Optional[EventResult]:
     """Resolve the earliest event among all hazards and clocks of the regime.
 
     Returns None when nothing fires before ``t_max`` (the caller truncates the
-    segment there).  Fixed-delay clocks measure time since the regime was
-    entered, hence ``elapsed_in_regime``, a finite time >= 0.  The states come
-    back as 1-D float64 arrays.
+    segment there).  The states come back as 1-D float64 arrays.
     """
-    regime = _regime(model, regime)
-    if not 0.0 <= elapsed_in_regime < math.inf or math.isnan(t_max):
-        raise InvalidParam(f"need a finite elapsed_in_regime >= 0 and a t_max that is "
-                           f"not NaN, got {elapsed_in_regime!r} and {t_max!r}")
+    regime = _index("regime", regime, len(model.regimes))
+    if math.isnan(t_max):
+        raise InvalidParam(f"need a t_max that is not NaN, got {t_max!r}")
     if t_max <= 0:
         return None
-    ev = _event(model, _state(state, model.dim), regime, rng, t_max, elapsed_in_regime)
+    ev = _event(model, _state(state, model.dim), regime, rng, t_max)
     return None if ev is None else EventResult(*ev)._replace(
         state_pre=np.array(ev[2], dtype=float), state_post=np.array(ev[3], dtype=float))
 
@@ -308,11 +312,11 @@ def _path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator, horizon:
     if not horizon > 0:     # NaN fails too
         raise InvalidParam("horizon must be positive")
     _count("jump_budget", jump_budget, 0)
-    s, reg, dim = _state(x0, model.dim), _regime(model, regime0), model.dim
     steps, k_regimes, isfinite = model.float_steps, len(model.regimes), math.isfinite
+    s, reg, dim = _state(x0, model.dim), _index("regime", regime0, k_regimes), model.dim
     reads = None if times is None else iter(times)
     t_read = None if reads is None else next(reads, None)
-    xis, k, n, t, entered = (), BLOCK, 0, 0.0, 0.0
+    xis, k, n, t = (), BLOCK, 0, 0.0
     while True:
         # the event ending the segment (t, s, reg) is at t_new, None past the horizon
         t_new = None
@@ -320,12 +324,10 @@ def _path(model: PdmpModel, x0, regime0: int, rng: np.random.Generator, horizon:
             _state(s, dim)
         if steps is None:
             if t < horizon:
-                ev = _event(model, s, reg, rng, horizon - t, t - entered)
+                ev = _event(model, s, reg, rng, horizon - t)
                 if ev is not None:
                     tau, kind, s_pre, s_new, reg_new = ev
                     t_new = t + tau
-                    if reg_new != reg:
-                        entered = t_new
         else:
             flow, lam, jump, kind = steps[reg]
             if t < horizon:     # as on the _event route, nothing is drawn at the horizon
@@ -399,7 +401,7 @@ def simulate_trajectory(model: PdmpModel, x0, regime0: int, horizon: float,
                         rng: np.random.Generator,
                         jump_budget: int = DEFAULT_JUMP_BUDGET) -> Trajectory:
     """Run the process to the horizon, recording its start and every jump (tuple states)."""
-    x, r = _state(x0, model.dim), _regime(model, regime0)
+    x, r = _state(x0, model.dim), _index("regime", regime0, len(model.regimes))
     jumps = [JumpRecord(t, kind, r0, r1, pre, post)
              for t, kind, r0, r1, pre, post, _ in _path(model, x, r, rng, horizon, jump_budget)]
     return Trajectory(model, x, r, jumps, horizon)

@@ -32,40 +32,41 @@ from pdmpkit.flows import _scan_points
 
 
 def damped_model(float_forms: bool) -> PdmpModel:
-    """State (x, v): x' = v, v' = -v/2.  Regime 0 thins a rate 1 + tanh(x)/2
-    whose kernel kicks v by a normal draw, and a clock resets x to 0 when x
-    reaches 2; regime 1 has a constant rate and a fixed-delay wake-up."""
+    """State (x, v, a): x' = v, v' = -v/2, a' = 1.  Regime 0 thins a rate
+    1 + tanh(x)/2 whose kernel kicks v by a normal draw, and a clock resets x
+    and the age a to 0 when x reaches 2; regime 1 has a constant rate and a
+    fixed-delay wake-up that reads a."""
     rate = lambda s: 1.0 + 0.5 * math.tanh(s[0])     # noqa: E731
     event = lambda s: 2.0 - s[0]                     # noqa: E731
     domain = lambda s: s[0] < 2.5                    # noqa: E731
     if float_forms:
         def closed(t, s):
             e = math.exp(-0.5 * t)
-            return s[0] + 2.0 * s[1] * (1.0 - e), s[1] * e
+            return s[0] + 2.0 * s[1] * (1.0 - e), s[1] * e, s[2] + t
 
         def kick(s, regime, rng):
             v = s[1] + rng.normal()
-            return (s[0], v), 0, "kick_up" if v > s[1] else "kick_down"
+            return (s[0], v, s[2]), 0, "kick_up" if v > s[1] else "kick_down"
 
         closed, rate, kick, event, domain = map(TupleFn, (closed, rate, kick, event, domain))
-        reset = TupleFn(lambda s, regime, rng: ((0.0, s[1]), 1))
-        slow = TupleFn(lambda s, regime, rng: ((s[0], 0.5 * s[1]), 0))
+        reset = TupleFn(lambda s, regime, rng: ((0.0, s[1], 0.0), 1))
+        slow = TupleFn(lambda s, regime, rng: ((s[0], 0.5 * s[1], s[2]), 0))
     else:
         def closed(t, x):
             e = math.exp(-0.5 * t)
-            return np.array([x[0] + 2.0 * x[1] * (1.0 - e), x[1] * e])
+            return np.array([x[0] + 2.0 * x[1] * (1.0 - e), x[1] * e, x[2] + t])
 
         def kick(x, regime, rng):
             v = x[1] + rng.normal()
-            return np.array([x[0], v]), 0, "kick_up" if v > x[1] else "kick_down"
+            return np.array([x[0], v, x[2]]), 0, "kick_up" if v > x[1] else "kick_down"
 
         def reset(x, regime, rng):
-            return np.array([0.0, x[1]]), 1
+            return np.array([0.0, x[1], 0.0]), 1
 
         def slow(x, regime, rng):
-            return np.array([x[0], 0.5 * x[1]]), 0
+            return np.array([x[0], 0.5 * x[1], x[2]]), 0
 
-    flow = Flow(dim=2, rhs=lambda x: np.array([x[1], -0.5 * x[1]]), closed_form=closed)
+    flow = Flow(dim=3, rhs=lambda x: np.array([x[1], -0.5 * x[1], 1.0]), closed_form=closed)
     regime0 = Regime(0, flow, hazards=(HazardChannel(Hazard(rate=rate, upper_bound=1.5),
                                                      JumpKernel(kick), "kick"),),
                      clocks=(DeterministicClock(BoundaryHit(event), JumpKernel(reset),
@@ -73,12 +74,12 @@ def damped_model(float_forms: bool) -> PdmpModel:
                      domain=domain)
     regime1 = Regime(1, flow, hazards=(HazardChannel(Hazard.constant(2.0), JumpKernel(slow),
                                                      "slow"),),
-                     clocks=(DeterministicClock(FixedDelay(0.3), JumpKernel(slow), "wake"),))
+                     clocks=(DeterministicClock(FixedDelay(0.3, 2), JumpKernel(slow), "wake"),))
     return PdmpModel("damped", (regime0, regime1))
 
 
 def records(model, seed):
-    traj = simulate_trajectory(model, [0.5, 1.0], 0, 40.0, path_rng(seed, 0))
+    traj = simulate_trajectory(model, [0.5, 1.0, 0.0], 0, 40.0, path_rng(seed, 0))
     return [(j.t, j.kind, j.regime_pre, j.regime_post, np.asarray(j.state_pre).tobytes(),
              np.asarray(j.state_post).tobytes()) for j in traj.jumps]
 

@@ -32,13 +32,14 @@ from pdmpkit import (
     make_cell_cycle,
     make_gene_expression,
     make_grasshopper,
+    make_stein,
     make_telegraph,
     next_event,
     path_rng,
     simulate_ensemble,
     simulate_trajectory,
 )
-from pdmpkit import GeneExpressionParams, GrowthDivision
+from pdmpkit import GeneExpressionParams, GrowthDivision, SteinParams
 from pdmpkit.errors import InvalidParam, JumpBudgetExceeded, NonFinite
 from pdmpkit.process import (read_path, snapshots_to_csv, trajectories_to_csv,
                              trajectory_snapshots_to_csv)
@@ -61,13 +62,29 @@ def two_hazard_model(lam1=1.0, lam2=3.0):
     return PdmpModel("two_causes", (regime,))
 
 
+def aging_flow():
+    """State (x, age): x stays put and the age, a clock's ``coord`` 1, grows at unit speed."""
+    return Flow(dim=2, rhs=lambda x: np.array([0.0, 1.0]),
+                closed_form=TupleFn(lambda t, s: (s[0], s[1] + t)))
+
+
 def ticking_model():
     """Two regimes that hand over to each other one time unit after entry."""
     regimes = tuple(
-        Regime(i, frozen_flow(), clocks=(DeterministicClock(
-            FixedDelay(1.0), JumpKernel(lambda x, r, rng: (x + 1.0, 1 - r))),))
+        Regime(i, aging_flow(), clocks=(DeterministicClock(
+            FixedDelay(1.0, 1), JumpKernel(lambda x, r, rng: ([x[0] + 1.0, 0.0], 1 - r))),))
         for i in (0, 1))
     return PdmpModel("ticker", regimes)
+
+
+def same_regime_delay_model(hazard_rate=None):
+    """One regime whose 0.5 delay returns to it, resetting the age, with an
+    optional competing constant hazard that keeps the state."""
+    hazards = () if hazard_rate is None else (
+        HazardChannel(Hazard.constant(hazard_rate), JumpKernel(TupleMap(lambda s, r: (s, r)))),)
+    clock = DeterministicClock(FixedDelay(0.5, 1), JumpKernel(
+        TupleMap(lambda s, r: ((s[0] + 1.0, 0.0), r))), "tick")
+    return PdmpModel("same_regime", (Regime(0, aging_flow(), hazards=hazards, clocks=(clock,)),))
 
 
 class TestNextEvent:
@@ -100,22 +117,57 @@ class TestNextEvent:
         assert ev.regime_post == 0
 
     def test_fixed_delay_uses_elapsed_time(self):
+        # the clock reads the age y = 0.3 from the state, so a restart mid-phase
+        # divides at t_B - 0.3; it divided at t_B when the engine kept the age
         params = GrowthDivision(g=lambda x: x, phi=lambda x: x, t_B=0.5,
                                 g_closed_form=lambda t, x: x * np.exp(t))
         model = make_cell_cycle(params)
-        ev = next_event(model, np.array([0.8, 0.3]), 1, path_rng(12, 1),
-                        t_max=1e9, elapsed_in_regime=0.3)
+        ev = next_event(model, np.array([0.8, 0.3]), 1, path_rng(12, 1), t_max=1e9)
         assert ev.dt == pytest.approx(0.2, abs=1e-12)
+        assert ev.kind == "division"
+        traj = simulate_trajectory(model, [0.8, 0.3], 1, 0.3, path_rng(12, 1))
+        assert traj.jumps[0].t == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("age", [0.0, 0.1, 0.25, 0.4])
+    def test_stein_restart_mid_refractory_fires_at_t_r_minus_age(self, age):
+        model = make_stein(SteinParams(alpha=1.0, a_E=0.3, a_I=0.2, lambda_E=2.0,
+                                       lambda_I=1.0, theta=1.0, t_R=0.5))
+        ev = next_event(model, [0.2, age], 1, path_rng(12, 2), t_max=1e9)
+        assert (ev.kind, ev.regime_post) == ("refractory_end", 0)
+        assert ev.dt == 0.5 - age
+        traj = simulate_trajectory(model, [0.2, age], 1, 0.5, path_rng(12, 2))
+        assert (traj.jumps[0].t, traj.jumps[0].kind) == (0.5 - age, "refractory_end")
+
+    @pytest.mark.parametrize("hazard_rate", [None, 0.01])
+    def test_same_regime_delay_fires_every_duration(self, hazard_rate):
+        # the engine used to reset a clock's time only on a change of regime, so
+        # this delay fired again at dt 0 (or, with the hazard, capped its draw at
+        # 0); a hazard jump keeps the age, so the ticks hold their times
+        ticks = [0.5, 1.0, 1.5, 2.0, 2.5]
+        model = same_regime_delay_model(hazard_rate)
+        traj = simulate_trajectory(model, [0.0, 0.0], 0, 2.75, path_rng(3, 0), jump_budget=50)
+        assert [j.t for j in traj.jumps if j.kind == "tick"] == ticks
+        assert {j.kind for j in traj.jumps} <= {"tick", "jump"}
+        assert traj.state_at(2.75)[0].tolist() == [5.0, 0.25]
+        events = iter_events(model, [0.0, 0.0], 0, path_rng(3, 0), 2.75, jump_budget=50)
+        assert [(t, ev.kind) for t, _, ev in events] == [(j.t, j.kind) for j in traj.jumps]
+
+    def test_overdue_clock_fires_at_once_without_drawing(self):
+        model = same_regime_delay_model(1.0)
+        rng = path_rng(3, 1)
+        ev = next_event(model, [0.0, 0.7], 0, rng, t_max=10.0)
+        assert (ev.dt, ev.kind, ev.state_post.tolist()) == (0.0, "tick", [1.0, 0.0])
+        assert rng.uniform() == path_rng(3, 1).uniform()
 
     def test_clock_tie_lowest_index_wins(self):
         k_a = JumpKernel(lambda x, r, rng: (x, 0, "first"))
         k_b = JumpKernel(lambda x, r, rng: (x, 0, "second"))
-        regime = Regime(0, frozen_flow(), clocks=(
-            DeterministicClock(FixedDelay(1.0), k_a, "first"),
-            DeterministicClock(FixedDelay(1.0), k_b, "second"),
+        regime = Regime(0, aging_flow(), clocks=(
+            DeterministicClock(FixedDelay(1.0, 1), k_a, "first"),
+            DeterministicClock(FixedDelay(1.0, 1), k_b, "second"),
         ))
         model = PdmpModel("ties", (regime,))
-        ev = next_event(model, np.zeros(1), 0, path_rng(13, 0), t_max=10.0)
+        ev = next_event(model, np.zeros(2), 0, path_rng(13, 0), t_max=10.0)
         assert ev.kind == "first"
 
     def test_none_when_nothing_fires(self):
@@ -204,7 +256,7 @@ class TestTrajectories:
 
     def test_jump_budget_is_exact(self):
         # events at t = 1, 2, 3, 4 before the horizon: a budget of 4 suffices
-        traj = simulate_trajectory(ticking_model(), [0.0], 0, 4.5, path_rng(21, 0),
+        traj = simulate_trajectory(ticking_model(), [0.0, 0.0], 0, 4.5, path_rng(21, 0),
                                    jump_budget=4)
         assert [j.t for j in traj.jumps] == [1.0, 2.0, 3.0, 4.0]
         assert traj.state_at(4.5)[0][0] == 4.0
@@ -217,7 +269,7 @@ class TestTrajectories:
     def test_jump_budget_stops_before_the_extra_event(self):
         seen = []
         with pytest.raises(JumpBudgetExceeded):
-            for t_jump, _, _ in iter_events(ticking_model(), [0.0], 0, path_rng(21, 0),
+            for t_jump, _, _ in iter_events(ticking_model(), [0.0, 0.0], 0, path_rng(21, 0),
                                             4.5, jump_budget=3):
                 seen.append(t_jump)
         assert seen == [1.0, 2.0, 3.0]
@@ -549,16 +601,11 @@ class TestValidation:
                                      5.0, 2, 1).errors
 
     @pytest.mark.parametrize("case", ["sample_jump_time_nan_horizon", "next_event_nan_t_max",
-                                      "boundary_hit_time_nan_t_max", "elapsed_negative",
-                                      "elapsed_nan", "elapsed_inf"])
+                                      "boundary_hit_time_nan_t_max"])
     def test_nan_caps_and_bad_elapsed_times_rejected(self, case):
-        # a NaN cap used to draw an event (or, for a boundary hit, report no
-        # crossing), and elapsed_in_regime=-1 fired a 0.5 delay at dt 1.5
+        # a NaN cap used to draw an event (or, for a boundary hit, report no crossing)
         rng = path_rng(1, 0)
         line = Flow(dim=1, rhs=lambda x: np.ones(1), closed_form=TupleFn(lambda t, s: (s[0] + t,)))
-        cell_cycle = make_cell_cycle(GrowthDivision(g=lambda x: x, phi=1.0, t_B=0.5,
-                                                    g_closed_form=lambda t, x: x * math.exp(t)))
-        elapsed = {"elapsed_negative": -1.0, "elapsed_nan": math.nan, "elapsed_inf": math.inf}
         calls = {
             "sample_jump_time_nan_horizon": lambda: pdmpkit.sample_jump_time(
                 line, Hazard.constant(1.0), [0.0], rng, horizon=math.nan),
@@ -567,10 +614,19 @@ class TestValidation:
             "boundary_hit_time_nan_t_max": lambda: pdmpkit.boundary_hit_time(
                 line, TupleFn(lambda s: 1.0 - s[0]), [0.0], math.nan),
         }
-        call = calls.get(case) or (lambda: next_event(
-            cell_cycle, [1.0, 0.0], 1, rng, t_max=5.0, elapsed_in_regime=elapsed[case]))
         with pytest.raises(InvalidParam):
-            call()
+            calls[case]()
+
+    @pytest.mark.parametrize("coord", [True, 1.0, "1", None, -1, 2])
+    def test_fixed_delay_coord_outside_the_state_rejected(self, coord):
+        # checked when the regime is built; unchecked, such a coord would fail
+        # only at the first event, as a bare IndexError or TypeError
+        clock = DeterministicClock(FixedDelay(0.5, coord), JumpKernel(lambda x, r, rng: (x, r)))
+        with pytest.raises(InvalidParam, match="FixedDelay coord"):
+            Regime(0, aging_flow(), clocks=(clock,))
+        clock = DeterministicClock(FixedDelay(0.5, np.int64(1)), clock.target)
+        assert next_event(PdmpModel("aged", (Regime(0, aging_flow(), clocks=(clock,)),)),
+                          [0.0, 0.2], 0, path_rng(1, 0), t_max=1.0).dt == 0.3
 
     @pytest.mark.parametrize("regime", [-1, 2])
     @pytest.mark.parametrize("float_form", [True, False])
@@ -598,7 +654,7 @@ class TestValidation:
         with pytest.raises(InvalidParam, match="label"):
             HazardChannel(Hazard.constant(1.0), kernel, label)
         with pytest.raises(InvalidParam, match="label"):
-            DeterministicClock(FixedDelay(1.0), kernel, label)
+            DeterministicClock(FixedDelay(1.0, 0), kernel, label)
         HazardChannel(Hazard.constant(1.0), kernel, "a b-c_d.e")
 
     @staticmethod
